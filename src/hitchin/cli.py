@@ -2,7 +2,8 @@
 
 Each subcommand runs one family of checks, writes a CSV residual table
 plus a JSON metadata file, and exits 0 exactly when every residual is
-below its tolerance.  Configuration is a flat KEY=VALUE text file with
+below its tolerance or "n/a" (nothing to test); bad input exits 2 and a
+pole-guard violation 3.  Configuration is a flat KEY=VALUE text file with
 command-line overrides; all runs are deterministic given the seed, and
 the CSV bodies are byte-identical across repeated runs.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .theta import ThetaContext, PoleError
+from .theta import PoleError, ThetaContext, TruncationError
 
 
 class ConfigError(Exception):
@@ -119,9 +120,21 @@ def resolve_config(name, raw, overrides):
             cfg[key] = val
     cfg["seed"] = int(cfg.get("seed", 0))
     cfg["out"] = str(cfg.get("out", "."))
-    if "q" in cfg and cfg["q"].imag == 0.0:
-        cfg["q"] = cfg["q"].real
+    if "q" in cfg:
+        try:
+            ThetaContext(cfg["q"])
+        except ValueError as exc:
+            raise ConfigError("bad value for 'q': %s" % exc)
+        if cfg["q"].imag == 0.0:
+            cfg["q"] = cfg["q"].real
     return cfg
+
+
+def _status(residual, tol):
+    """"n/a" for a check that had nothing to test, else pass/FAIL."""
+    if residual is None:
+        return "n/a"
+    return "pass" if residual < tol else "FAIL"
 
 
 def _fmt(value):
@@ -230,23 +243,28 @@ def run_rational_quantum(cfg):
     sites = cfg["sites"]
     if sites is None:
         sites = [complex(2 * i + 1) for i in range(len(weights))]
+    if len(weights) < 2 or len(sites) != len(weights):
+        raise ConfigError("rational-quantum needs two or more weights and one "
+                          "site per weight, got %d and %d"
+                          % (len(weights), len(sites)))
     system = rq.GaudinSystem(TensorRepSpace(weights), sites)
     hams, _ = rq.gaudin_residues(system)
     scale = max(1.0, max(np.abs(h).max() for h in hams))
     comm = max(rq.commutator_norm(hams[i], hams[j]) / scale
                for i in range(len(hams)) for j in range(i + 1, len(hams)))
     total = np.abs(sum(hams)).max() / scale
-    if all(s.imag == 0 and s.real == int(s.real) for s in sites):
+    # exact rationals need real sites; a decimal site is read as the
+    # decimal its shortest repr shows, not as its binary float
+    exact_comm = None
+    if all(s.imag == 0 for s in sites):
         exact = rq.gaudin_residues_exact(
-            weights, [Fraction(int(s.real)) for s in sites])
+            weights, [Fraction(repr(s.real)) for s in sites])
         exact_comm = 0.0
         for i in range(len(exact)):
             for j in range(i + 1, len(exact)):
                 c = exact[i] @ exact[j] - exact[j] @ exact[i]
                 exact_comm = max(exact_comm,
                                  float(max(abs(v) for v in c.ravel())))
-    else:
-        exact_comm = comm
     s = rq.s_polynomials(cfg["n"], cfg["p_max"])
     n = cfg["n"]
     s_res = float(abs(s[1] - Fraction(n, 2))
@@ -290,18 +308,15 @@ def run_elliptic_classical(cfg):
             continue
         done += 1
     bracket_worst = 0.0
+    pairs = np.triu_indices(N + 1, 1)
     for trial in range(3):
         pt = ec.random_elliptic_point(n, N, cfg["q"], rng, moment=True)
         hams = ec.hamiltonians_elliptic(pt)
         hscale = max(abs(hams.h0), max(abs(h) for h in hams.h), 1.0)
-        fams = [lambda p: ec.hamiltonians_elliptic(p).h0]
-        for i in range(N):
-            fams.append(lambda p, i=i: ec.hamiltonians_elliptic(p).h[i])
-        for i, f in enumerate(fams):
-            for g in fams[i + 1:]:
-                bracket_worst = max(
-                    bracket_worst,
-                    abs(ec.poisson_bracket(f, g, pt)) / hscale)
+        fam = ec.hamiltonian_family
+        brackets = ec.poisson_bracket(fam, fam, pt)
+        bracket_worst = max(bracket_worst,
+                            np.abs(brackets[pairs]).max() / hscale)
     label = "n=%d,N=%d" % (n, N)
     return [
         ("dynamical_rmatrix", label, rmat_worst, cfg["tol"]),
@@ -355,8 +370,9 @@ def write_report(name, cfg, rows, ctx, outdir):
         writer.writerow(["check", "params", "residual", "tolerance",
                          "status"])
         for check, label, residual, tol in rows:
-            writer.writerow([check, label, _fmt(residual), _fmt(tol),
-                             "pass" if residual < tol else "FAIL"])
+            writer.writerow([check, label,
+                             "n/a" if residual is None else _fmt(residual),
+                             _fmt(tol), _status(residual, tol)])
     meta = {
         "experiment": name,
         "package_version": __version__,
@@ -406,21 +422,24 @@ def main(argv=None):
         overrides = {k: v for k, v in vars(args).items()
                      if k not in ("command", "config")}
         cfg = resolve_config(name, raw, overrides)
+        rows, ctx = RUNNERS[name](cfg)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    try:
-        rows, ctx = RUNNERS[name](cfg)
+    except TruncationError as exc:
+        print("q-series truncation during %s: %s" % (name, exc),
+              file=sys.stderr)
+        return 2
     except PoleError as exc:
         print("pole guard violation during %s: %s" % (name, exc),
               file=sys.stderr)
         return 3
     csv_path = write_report(name, cfg, rows, ctx, cfg["out"])
-    failures = [r for r in rows if not r[2] < r[3]]
+    failures = [r for r in rows if _status(r[2], r[3]) == "FAIL"]
     for check, label, residual, tol in rows:
-        status = "pass" if residual < tol else "FAIL"
-        print("%-28s %-24s %12.3e  (tol %.1e)  %s"
-              % (check, label, residual, tol, status))
+        shown = "n/a" if residual is None else "%.3e" % residual
+        print("%-28s %-24s %12s  (tol %.1e)  %s"
+              % (check, label, shown, tol, _status(residual, tol)))
     print("report: %s" % csv_path)
     return 0 if not failures else 1
 

@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 
+from .numerics import ring_gradient
 from .theta import ThetaContext, PoleError
 
 
@@ -42,14 +43,8 @@ class EllipticPhasePoint:
                 raise ValueError("every eta matrix must be %d x %d" % (n, n))
         if np.any(self.t == 0) or np.any(self.sites == 0):
             raise ValueError("twists and sites must be nonzero")
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    ctx.check_regular(self.t[a] / self.t[b])
-        for i in range(len(self.sites)):
-            for j in range(len(self.sites)):
-                if i != j:
-                    ctx.check_regular(self.sites[i] / self.sites[j])
+        ctx.check_ratios(self.t)
+        ctx.check_ratios(self.sites)
         self.n = n
         self.nsites = len(self.eta)
         if self.nsites != self.sites.shape[0]:
@@ -357,57 +352,53 @@ def trace_expansion(point, z, hams=None):
     return float(abs(lhs - rhs))
 
 
-def _ring_partial(f, x0, radius, nodes=8):
-    """Derivative of a holomorphic map at x0 via a small Cauchy circle."""
-    acc = 0.0 + 0.0j
-    for k in range(nodes):
-        phase = np.exp(2j * np.pi * k / nodes)
-        acc += f(x0 + radius * phase) / phase
-    return acc / (nodes * radius)
+def hamiltonian_family(point):
+    """The involutive family [h0, h_1, ..., h_N] as one vector."""
+    hams = hamiltonians_elliptic(point)
+    return np.concatenate([[hams.h0], hams.h])
 
 
-def _gradients(fun, point, radius=1e-2):
-    """Partials of fun(point) with respect to p, t and every eta entry."""
+def _gradients(fun, point):
+    """Cauchy-ring partials of fun(point) in p, t and every eta entry.
+
+    Circles have radius 1e-2 in p and eta and 1e-2 |t_a| in t_a.  Returns
+    (gp, gt, geta) of shapes (n,), (n,) and (N, n, n), each followed by
+    the shape of fun's value.
+    """
     n, N = point.n, point.nsites
-    gp = np.zeros(n, dtype=complex)
-    gt = np.zeros(n, dtype=complex)
-    geta = [np.zeros((n, n), dtype=complex) for _ in range(N)]
-    for a in range(n):
-        def fp(v, a=a):
-            p = point.p.copy()
-            p[a] = v
-            return fun(point.copy_with(p=p))
-        gp[a] = _ring_partial(fp, point.p[a], radius)
+    x = np.concatenate([point.p, point.t, np.array(point.eta).ravel()])
+    radii = 1e-2 * np.concatenate([np.ones(n), np.abs(point.t),
+                                   np.ones(N * n * n)])
 
-        def ft(v, a=a):
-            t = point.t.copy()
-            t[a] = v
-            return fun(point.copy_with(t=t))
-        gt[a] = _ring_partial(ft, point.t[a], radius * abs(point.t[a]))
-    for i in range(N):
-        for a in range(n):
-            for b in range(n):
-                def fe(v, i=i, a=a, b=b):
-                    eta = [m.copy() for m in point.eta]
-                    eta[i][a, b] = v
-                    return fun(point.copy_with(eta=eta))
-                geta[i][a][b] = _ring_partial(fe, point.eta[i][a, b], radius)
-    return gp, gt, geta
+    def at(y):
+        return fun(point.copy_with(p=y[:n], t=y[n:2 * n],
+                                   eta=y[2 * n:].reshape(N, n, n)))
+
+    grad = ring_gradient(at, x, radii)
+    return (grad[:n], grad[n:2 * n],
+            grad[2 * n:].reshape((N, n, n) + grad.shape[1:]))
 
 
 def poisson_bracket(f, g, point):
-    """Poisson bracket {f, g} of two scalar observables at a phase point.
+    """Poisson bracket {f, g} of two observables at a phase point.
 
+    f and g return scalars or 1-d arrays; for arrays the result is the
+    matrix {f_k, g_l}, and with ``g is f`` the gradients are taken once.
     Combines {p_a, t_a} = t_a with the Kostant-Kirillov bracket on each
     residue matrix; partial derivatives are taken spectrally on small
     circles, so the result is accurate to near machine precision for
     holomorphic observables.
     """
+    n, N = point.n, point.nsites
     fp, ft, feta = _gradients(f, point)
-    gp, gt, geta = _gradients(g, point)
-    val = np.sum(point.t * (fp * gt - gp * ft))
-    for i in range(point.nsites):
-        gf = feta[i].T
-        gg = geta[i].T
-        val += np.trace(point.eta[i] @ (gg @ gf - gf @ gg))
-    return val
+    gp, gt, geta = (fp, ft, feta) if g is f else _gradients(g, point)
+    shape = fp.shape[1:] + gp.shape[1:]
+    fp, ft, gp, gt = (v.reshape(n, -1) for v in (fp, ft, gp, gt))
+    feta, geta = (v.reshape(N, n, n, -1) for v in (feta, geta))
+    eta = np.array(point.eta)
+    # tr(eta_i [G_i, F_i]) with F_i, G_i the transposed partial matrices
+    val = (np.einsum("a,ak,al->kl", point.t, fp, gt)
+           - np.einsum("a,ak,al->kl", point.t, ft, gp)
+           + np.einsum("ixy,izyl,ixzk->kl", eta, geta, feta)
+           - np.einsum("ixy,izyk,ixzl->kl", eta, feta, geta))
+    return val.reshape(shape)[()]

@@ -27,10 +27,7 @@ class QuantumEllipticParams:
             raise ValueError("one weight per site required")
         if np.any(self.sites == 0):
             raise ValueError("sites must be nonzero")
-        for i in range(len(self.sites)):
-            for j in range(len(self.sites)):
-                if i != j:
-                    ctx.check_regular(self.sites[i] / self.sites[j])
+        ctx.check_ratios(self.sites)
         self.space = TensorRepSpace(self.weights)
         self.dim = self.space.dim
 
@@ -373,13 +370,15 @@ def check_reduced_commutativity(params, t_samples, exponents, ops=None):
     additional structure that is not determined here, and the returned
     residual stays at order one; callers probing that regime should
     treat the result as a measured obstruction, not a bug indicator.
+    Returns None when the weight-zero subspace is empty (odd total
+    weight): there is then nothing to test.
     """
     ctx = params.ctx
     fam = commuting_hamiltonians(params, ops=ops)
     proj = params.space.weight_zero_projector()
     vecs = [col for col in proj.T if np.linalg.norm(col) > 1e-12]
     if not vecs:
-        return 0.0
+        return None
     worst = 0.0
     scale = 0.0
     for a in range(len(fam)):

@@ -6,14 +6,12 @@ Poisson bracket on products of coadjoint orbits, and the induced
 isospectral flows with an RK4 integrator.
 """
 
-import itertools
 import json
 
 import numpy as np
 
-
-class PoleError(Exception):
-    pass
+from .numerics import PartialFractionPlan, check_distinct, ring_gradient
+from .theta import PoleError
 
 
 class RationalPhasePoint:
@@ -36,11 +34,7 @@ class RationalPhasePoint:
             raise ValueError("sites and eta must have equal length")
         self.n = n
         self.nsites = len(self.sites)
-        scale = max(1.0, max(abs(z) for z in self.sites))
-        for i in range(self.nsites):
-            for j in range(i + 1, self.nsites):
-                if abs(self.sites[i] - self.sites[j]) <= 1e-10 * scale:
-                    raise ValueError("marked points must be pairwise distinct")
+        check_distinct(self.sites)
         if check_nilpotent:
             for i, m in enumerate(self.eta):
                 p = np.eye(n, dtype=complex)
@@ -101,15 +95,14 @@ def lax_rational(point, z):
     return out
 
 
-def multi_indices(nsites, total):
-    """All tuples of nonnegative integers of given length summing to total."""
-    if nsites == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        for tail in multi_indices(nsites - 1, total - head):
-            out.append((head,) + tail)
-    return out
+def _hitchin_plan(sites, d):
+    """Extraction plan for the degree-d power trace."""
+    return PartialFractionPlan(sites, d - 1, max(4 * len(sites) * d, 16), 0.31)
+
+
+def _power_traces(point, d, nodes):
+    return np.array([np.trace(np.linalg.matrix_power(lax_rational(point, z), d))
+                     for z in nodes])
 
 
 class HitchinCoefficients:
@@ -123,41 +116,18 @@ class HitchinCoefficients:
     """
 
     def __init__(self, point, degrees):
-        self.sites = list(point.sites)
-        self.nsites = point.nsites
         self.degrees = sorted(set(int(d) for d in degrees))
         for d in self.degrees:
             if d < 1:
                 raise ValueError("degrees must be positive")
-        radius = 2.0 * max(abs(z) for z in self.sites) + 3.0
         self.plans = {}
         self.values = {}
         for d in self.degrees:
-            keys = multi_indices(self.nsites, d - 1)
-            nnodes = max(4 * self.nsites * d, 16)
-            nodes = radius * np.exp(
-                2j * np.pi * (np.arange(nnodes) + 0.31) / nnodes
-            )
-            basis = np.array(
-                [[self._basis_fn(a, z) for a in keys] for z in nodes]
-            )
-            # rows of the pseudoinverse express each coefficient as a fixed
-            # linear functional of trace(eta(z_k)^d)
-            weights = np.linalg.pinv(basis, rcond=1e-12)
-            traces = np.array(
-                [np.trace(np.linalg.matrix_power(lax_rational(point, z), d))
-                 for z in nodes]
-            )
-            coeffs = weights @ traces
-            self.plans[d] = (keys, nodes, weights)
-            for a, c in zip(keys, coeffs):
+            plan = _hitchin_plan(point.sites, d)
+            coeffs = plan.coefficients(_power_traces(point, d, plan.nodes))
+            self.plans[d] = plan
+            for a, c in zip(plan.keys, coeffs):
                 self.values[(d, a)] = c
-
-    def _basis_fn(self, a, z):
-        out = 1.0 + 0.0j
-        for ai, zi in zip(a, self.sites):
-            out *= (z - zi) ** (-ai)
-        return out
 
     def __getitem__(self, key):
         d, a = key
@@ -170,31 +140,29 @@ class HitchinCoefficients:
         """|sum_a H_{d,a} basis_a(z) - trace(eta(z)^d)|, maximized over d."""
         worst = 0.0
         for d in self.degrees:
-            keys = self.plans[d][0]
-            total = sum(self.values[(d, a)] * self._basis_fn(a, z) for a in keys)
-            target = np.trace(np.linalg.matrix_power(lax_rational(point, z), d))
-            worst = max(worst, abs(total - target))
+            plan = self.plans[d]
+            total = plan.evaluate([self.values[(d, a)] for a in plan.keys], z)
+            worst = max(worst, abs(total - _power_traces(point, d, [z])[0]))
         return worst
 
 
 class HitchinObservable:
-    """One coefficient H_{d,a} as a scalar observable with analytic gradient."""
+    """One coefficient H_{d,a} as a scalar observable with analytic gradient.
+
+    Only the extraction plan is needed: the coefficient is the row of the
+    pseudoinverse for a applied to the power traces at the plan's nodes.
+    """
 
     def __init__(self, point, d, a, coeffs=None):
         self.d = int(d)
         self.a = tuple(a)
-        if coeffs is None:
-            coeffs = HitchinCoefficients(point, [self.d])
-        keys, nodes, weights = coeffs.plans[self.d]
-        self.row = weights[keys.index(self.a)]
-        self.nodes = nodes
+        plan = (_hitchin_plan(point.sites, self.d) if coeffs is None
+                else coeffs.plans[self.d])
+        self.row = plan.weights[plan.keys.index(self.a)]
+        self.nodes = plan.nodes
 
     def value(self, point):
-        traces = np.array(
-            [np.trace(np.linalg.matrix_power(lax_rational(point, z), self.d))
-             for z in self.nodes]
-        )
-        return self.row @ traces
+        return self.row @ _power_traces(point, self.d, self.nodes)
 
     def __call__(self, point):
         return self.value(point)
@@ -210,43 +178,27 @@ class HitchinObservable:
         return grads
 
 
-def _fd_gradients(f, point, h=None):
-    """Centered finite-difference gradients of a scalar observable.
+def _numerical_gradients(f, point):
+    """Cauchy-ring gradients of a scalar observable in every eta[i] entry.
 
-    One Richardson level: D = (4 D_{h/2} - D_h) / 3.
+    The independent oracle for analytic gradients; circles have radius
+    1e-2 times the largest of 1 and the site-matrix norms.
     """
+    n, N = point.n, point.nsites
     scale = max(1.0, max(np.linalg.norm(m) for m in point.eta))
-    if h is None:
-        h = 1e-5 * scale
-    grads = []
-    for i in range(point.nsites):
-        g = np.zeros((point.n, point.n), dtype=complex)
-        for a in range(point.n):
-            for b in range(point.n):
-                def diff(step):
-                    eta_p = [m.copy() for m in point.eta]
-                    eta_m = [m.copy() for m in point.eta]
-                    eta_p[i][a, b] += step
-                    eta_m[i][a, b] -= step
-                    return (f(point.copy_with_eta(eta_p))
-                            - f(point.copy_with_eta(eta_m))) / (2 * step)
-                d1 = diff(h)
-                d2 = diff(h / 2)
-                # gradient convention tr(grad . delta): entry (b, a)
-                g[b, a] = (4 * d2 - d1) / 3
-        grads.append(g)
-    return grads
+
+    def along(x):
+        return f(point.copy_with_eta(x.reshape(N, n, n)))
+
+    grad = ring_gradient(along, np.array(point.eta).ravel(), 1e-2 * scale)
+    # gradient convention tr(grad . delta): entry (b, a)
+    return list(grad.reshape(N, n, n).transpose(0, 2, 1))
 
 
 def _observable_gradients(f, point):
     if hasattr(f, "gradients"):
         return f.gradients(point)
-    try:
-        return _fd_gradients(f, point)
-    except Exception as exc:  # report which observable failed
-        raise RuntimeError(
-            "finite-difference gradient failed for %r: %s" % (f, exc)
-        )
+    return _numerical_gradients(f, point)
 
 
 def kk_bracket(f, g, point):

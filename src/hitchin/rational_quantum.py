@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lie import MatrixAlgebra, TensorRepSpace
+from .numerics import PartialFractionPlan, check_distinct
 
 
 class GaudinSystem:
@@ -27,17 +28,17 @@ class GaudinSystem:
         if len(sites) != space.nsites:
             raise ValueError("site count must match tensor factor count")
         sites = [complex(z) for z in sites]
-        scale = max(1.0, max(abs(z) for z in sites))
-        for i in range(len(sites)):
-            for j in range(i + 1, len(sites)):
-                if abs(sites[i] - sites[j]) <= 1e-10 * scale:
-                    raise ValueError("marked points must be distinct")
+        check_distinct(sites)
         self.space = space
         self.sites = sites
         if algebra is None:
             n = 2 if space.reps is not None else space.site_dims[0]
             algebra = MatrixAlgebra(n, "sl")
         self.algebra = algebra
+        # the sl2 image is linear in x: embed e, f, h at each site once
+        self._generators = None if space.reps is None else [
+            [space.site_operator(rep[g], i) for g in ("e", "f", "h")]
+            for i, rep in enumerate(space.reps, start=1)]
 
     def rep_embed(self, x, i):
         """Site operator of the representation image of the algebra element x."""
@@ -46,10 +47,10 @@ class GaudinSystem:
             return self.space.site_operator(x, i)
         if x.shape != (2, 2):
             raise ValueError("sl2 algebra elements must be 2x2")
-        rep = self.space.reps[i - 1]
-        img = (x[0, 1] * rep["e"] + x[1, 0] * rep["f"]
-               + x[0, 0] * rep["h"]).astype(complex)
-        return self.space.site_operator(img, i)
+        if not 1 <= i <= self.space.nsites:
+            raise ValueError("site index out of range")
+        e, f, h = self._generators[i - 1]
+        return x[0, 1] * e + x[1, 0] * f + x[0, 0] * h
 
     def current(self, x, u, order=1):
         """x(u) = sum_i x^(i)/(u-z_i)^order (order > 1 for derivatives)."""
@@ -216,45 +217,24 @@ class SU2Quadrature:
                     self.weights.append(wi / (2.0 * n_angle * n_angle))
 
 
-def _multi_indices(nsites, total):
-    if nsites == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        for tail in _multi_indices(nsites - 1, total - head):
-            out.append((head,) + tail)
-    return out
-
-
 class OperatorPencil:
     """Partial-fraction coefficients of an operator-valued rational function.
 
-    coeffs maps multi-indices (a_1..a_N), sum a_i = l - 1, to operators;
-    se maps the same keys to Monte Carlo standard-error estimates.
+    coeffs maps the multi-indices of the extraction plan (a_1..a_N),
+    sum a_i = l - 1, to operators; se maps the same keys to Monte Carlo
+    standard-error estimates.
     """
 
-    def __init__(self, degree, sites, coeffs, se, nsamples):
+    def __init__(self, degree, plan, coeffs, se, nsamples):
         self.degree = degree
-        self.sites = list(sites)
+        self.plan = plan
         self.coeffs = coeffs
         self.se = se
         self.nsamples = nsamples
 
     def reconstruct(self, zeta):
-        dim = next(iter(self.coeffs.values())).shape[0]
-        out = np.zeros((dim, dim), dtype=complex)
-        for a, op in self.coeffs.items():
-            fac = 1.0
-            for ai, zi in zip(a, self.sites):
-                fac *= (zeta - zi) ** (-ai)
-            out += fac * op
-        return out
-
-
-def _extraction_nodes(sites, l):
-    radius = 2.0 * max(abs(z) for z in sites) + 3.0
-    count = max((l - 1) * len(sites) + 1, 8)
-    return radius * np.exp(2j * np.pi * (np.arange(count) + 0.17) / count)
+        return self.plan.evaluate([self.coeffs[a] for a in self.plan.keys],
+                                  zeta)
 
 
 def haar_average_power(system, H, l, zetas, sampler, nsamples, batches=10):
@@ -309,27 +289,15 @@ def higher_gaudin(system, H, l, sampler, nsamples=10000, batches=10):
     if l < 1:
         raise ValueError("need l >= 1")
     sites = system.sites
-    nodes = _extraction_nodes(sites, l)
-    keys = _multi_indices(len(sites), l - 1)
-
-    def basis_fn(a, z):
-        out = 1.0 + 0.0j
-        for ai, zi in zip(a, sites):
-            out *= (z - zi) ** (-ai)
-        return out
-
-    basis = np.array([[basis_fn(a, z) for a in keys] for z in nodes])
-    weights = np.linalg.pinv(basis, rcond=1e-12)
-    means, ses = haar_average_power(system, H, l, nodes, sampler,
+    plan = PartialFractionPlan(sites, l - 1,
+                               max((l - 1) * len(sites) + 1, 8), 0.17)
+    means, ses = haar_average_power(system, H, l, plan.nodes, sampler,
                                     nsamples, batches)
-    stacked = np.array(means)
-    coeffs = {}
-    se = {}
-    for row, a in zip(weights, keys):
-        coeffs[a] = np.tensordot(row, stacked, axes=(0, 0))
-        se[a] = float(np.sqrt(sum(abs(w) ** 2 * s ** 2
-                                  for w, s in zip(row, ses))))
-    return OperatorPencil(l, sites, coeffs, se, nsamples)
+    coeffs = dict(zip(plan.keys, plan.coefficients(means)))
+    se = {a: float(np.sqrt(sum(abs(w) ** 2 * s ** 2
+                               for w, s in zip(row, ses))))
+          for row, a in zip(plan.weights, plan.keys)}
+    return OperatorPencil(l, plan, coeffs, se, nsamples)
 
 
 def commutator_norm(a, b):

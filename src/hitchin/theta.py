@@ -91,6 +91,14 @@ class ThetaContext:
             if abs(z - w) < self.pole_guard * abs(w):
                 raise PoleError("argument within pole guard of q^%d" % k)
 
+    def check_ratios(self, values):
+        """Raise PoleError if the ratio of any two of the values is within
+        pole_guard of the lattice q^Z."""
+        for i, a in enumerate(values):
+            for j, b in enumerate(values):
+                if i != j:
+                    self.check_regular(a / b)
+
     # -- theta and friends -------------------------------------------------
 
     def theta(self, z):
@@ -327,41 +335,3 @@ def cross_square_residual(ctx, x, y):
     rhs = (wp(x) + wp(y) + (u(w) - u(1.0 / w)) * d
            + wp(w) - u(w) ** 2 + u(w) - 0.25)
     return abs(lhs - rhs)
-
-
-# ---------------------------------------------------------------------------
-# module-level convenience API
-
-
-def theta(ctx, z):
-    """Multiplicative theta function theta(z) for the context modulus."""
-    return ctx.theta(z)
-
-
-def theta_logderiv(ctx, z):
-    """Logarithmic Euler derivative z theta'(z) / theta(z)."""
-    return ctx.theta_ratio(z)
-
-
-def wp(ctx, z):
-    """Weierstrass function of ln z, normalized so wp(e^tau) ~ 1/tau^2."""
-    return ctx.wp(z)
-
-
-def check_theta_identity(ctx, ident, point):
-    """Residual of one of the three kernel identities.
-
-    ident -- "A" (addition), "B" (mixed t-derivative) or "C" (diagonal
-    quasi-invariance).  point -- tuple of arguments: (z, w, t, tp) for A,
-    (z, w, t) for B, (z, w, t, zeta) for C.
-    """
-    if ident == "A":
-        z, w, t, tp = point
-        return addition_residual(ctx, z, w, t, tp)
-    if ident == "B":
-        z, w, t = point[:3]
-        return mixed_derivative_residual(ctx, z, w, t)
-    if ident == "C":
-        z, w, t, zeta = point
-        return quasi_invariance_residual(ctx, z, w, t, zeta)
-    raise ValueError("unknown identity %r" % (ident,))

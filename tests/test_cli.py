@@ -1,5 +1,6 @@
 """Tests for the command-line runner."""
 
+import csv
 import json
 
 import pytest
@@ -109,3 +110,45 @@ class TestRuns:
         body = (tmp_path / "elliptic-quantum.csv").read_text()
         assert "reduced_commutativity" in body
         assert "FAIL" not in body
+
+    def test_rational_quantum_exact_at_decimal_sites(self, tmp_path):
+        code = run(["rational-quantum", "--weights", "1,1,1",
+                    "--sites", "0,0.5,2", "--out", str(tmp_path)])
+        assert code == 0
+        rows = read_rows(tmp_path / "rational-quantum.csv")
+        assert rows["gaudin_commutators_exact"]["residual"] == "0.0"
+
+    def test_rational_quantum_exact_na_at_complex_sites(self, tmp_path):
+        code = run(["rational-quantum", "--weights", "1,1,1",
+                    "--sites", "0,0.5j,2", "--out", str(tmp_path)])
+        assert code == 0
+        row = read_rows(tmp_path / "rational-quantum.csv")[
+            "gaudin_commutators_exact"]
+        assert (row["residual"], row["status"]) == ("n/a", "n/a")
+
+    def test_empty_weight_zero_subspace_is_na(self, tmp_path):
+        # odd total weight: no weight-zero states, nothing to commute on
+        code = run(["elliptic-quantum", "--weights", "1,1,1", "--twists", "1",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        row = read_rows(tmp_path / "elliptic-quantum.csv")[
+            "reduced_commutativity"]
+        assert (row["residual"], row["status"]) == ("n/a", "n/a")
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return {r["check"]: r for r in csv.DictReader(fh)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta-check", "--q", "1.2"],
+    ["theta-check", "--q", "0.9999999"],
+    ["rational-quantum", "--weights", "1"],
+], ids=["q_outside_disc", "q_truncation", "one_weight"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    code = run(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

@@ -22,6 +22,25 @@ def entry_fun(i, a, b):
     return lambda pt: pt.eta[i][a, b]
 
 
+# moment-surface point of `hitchin elliptic-classical --seed 2`
+CLOSE_TWIST_POINT = (
+    '{"q": [0.3, 0.0], '
+    '"p": [[-0.20492283237128975, 1.53523552801949], '
+    '[-0.2744140048099273, -0.879199624943892]], '
+    '"t": [[0.36216627117776967, 1.0150085839941907], '
+    '[0.21927410108898418, 1.0103993109874327]], '
+    '"sites": [[0.690330848435955, -0.8470060910353424], '
+    '[0.9918167721345003, -0.8245030337844207]], '
+    '"eta": [[[[-0.19844399372639826, 0.5042926208885647], '
+    '[0.24877306484494816, -0.3285952928118986]], '
+    '[[0.49666592427248046, -0.23968584601866358], '
+    '[-0.01530219139754038, 0.13966924849409257]]], '
+    '[[[0.19844399372639826, -0.5042926208885646], '
+    '[0.5949331717168096, -0.16388774069135176]], '
+    '[[2.3053651490300506, -0.34406318100956246], '
+    '[0.01530219139754041, -0.13966924849409246]]]]}')
+
+
 class TestPhasePoint:
     def test_shape_validation(self):
         ctx = ThetaContext(0.3)
@@ -215,6 +234,20 @@ class TestBracketTensor:
                 lambda q, c=c, d=d: lax_elliptic(q, w)[c, d], pt)
             assert abs(val - L[a * n + c, b * n + d]) < 1e-8
 
+    def test_array_observables_give_bracket_matrix(self):
+        # {xbar_ab(z), xbar_cd(w)} for all entries from one gradient pass
+        # per side, against the analytic tensor
+        rng = np.random.default_rng(15)
+        pt = random_elliptic_point(2, 2, 0.3, rng)
+        z, w = 1.13 + 0.19j, 0.84 - 0.3j
+        n = pt.n
+        L = bracket_tensor(pt, z, w)
+        val = poisson_bracket(lambda q: lax_elliptic(q, z).ravel(),
+                              lambda q: lax_elliptic(q, w).ravel(), pt)
+        want = L.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n,
+                                                                    n * n)
+        assert np.abs(val - want).max() < 1e-8 * max(np.abs(L).max(), 1.0)
+
 
 class TestDynamicalRMatrixIdentity:
     @pytest.mark.parametrize("q", [0.1, 0.3])
@@ -340,6 +373,18 @@ class TestHamiltonians:
                 for j in range(i + 1, len(funs)):
                     val = poisson_bracket(funs[i], funs[j], pt)
                     assert abs(val) < 1e-8 * scale ** 2 + 1e-8
+
+
+    def test_brackets_at_close_twists(self):
+        # t_1/t_2 lies 0.14 from 1, where wp(t_a/t_b) has its double pole;
+        # an 8-node Cauchy ring left {h0, h_i} at 6.8e-8 of the scale here
+        pt = EllipticPhasePoint.from_json(CLOSE_TWIST_POINT)
+        hams = hamiltonians_elliptic(pt)
+        scale = max(abs(hams.h0), max(abs(h) for h in hams.h), 1.0)
+        for i in range(pt.nsites):
+            val = poisson_bracket(lambda q: hamiltonians_elliptic(q).h0,
+                                  lambda q: hamiltonians_elliptic(q).h[i], pt)
+            assert abs(val) / scale < 1e-8
 
 
 class TestDegeneration:

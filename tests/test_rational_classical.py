@@ -236,3 +236,39 @@ def test_integrate_flow_overflow():
     pt = rc.random_nilpotent_point(2, 2, rng)
     with pytest.raises(OverflowError):
         rc.integrate_flow(pt, (2, (1, 0)), T=1.0, dt=0.1, overflow=1e-9)
+
+
+def test_pole_error_is_shared():
+    import hitchin
+    assert rc.PoleError is hitchin.PoleError
+
+
+def test_numerical_gradient_keeps_pole_error():
+    rng = np.random.default_rng(18)
+    pt = rc.random_nilpotent_point(2, 2, rng)
+    f = rc.entry_observable(0, 0, 1)
+    at_site = lambda p: rc.lax_rational(p, p.sites[0])[0, 1]
+    with pytest.raises(rc.PoleError):
+        rc.kk_bracket(at_site, f, pt)
+
+
+# H_{d,a} at a fixed point as computed before the extraction plan was shared
+HITCHIN_REFERENCE = {
+    (2, (0, 0, 1)): 20.10029442247075 - 1.9670703943781298j,
+    (2, (0, 1, 0)): 7.039124232766643 + 24.34188520417012j,
+    (2, (1, 0, 0)): -27.139418655237392 - 22.374814809791985j,
+    (3, (0, 0, 2)): -4.858335955759685e-13 - 3.0569990983053685e-13j,
+    (3, (0, 1, 1)): -41.23073002989612 - 37.52888868502909j,
+    (3, (0, 2, 0)): 1.616484723854228e-13 + 4.606870440682087e-13j,
+    (3, (1, 0, 1)): 53.85155280844744 + 4.0534894794186656j,
+    (3, (1, 1, 0)): -12.620822778550963 + 33.47539920561126j,
+    (3, (2, 0, 0)): 2.840505608503463e-13 - 6.384337503106963e-13j,
+}
+
+
+def test_hitchin_coeffs_reference_values():
+    pt = rc.random_nilpotent_point(3, 3, np.random.default_rng(2905))
+    hc = rc.HitchinCoefficients(pt, [2, 3])
+    assert sorted(hc.keys()) == sorted(HITCHIN_REFERENCE)
+    for key, ref in HITCHIN_REFERENCE.items():
+        assert abs(hc[key] - ref) < 1e-13

@@ -211,7 +211,7 @@ def test_higher_gaudin_l2_proportional():
     assert np.linalg.norm(means[0] - c * rq.gaudin_quadratic(sys3, zeta)) < 1e-10
 
     pencil = rq.higher_gaudin(sys3, H, 2, quad)
-    nodes = rq._extraction_nodes(sys3.sites, 2)
+    nodes = pencil.plan.nodes
     keys = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     basis = np.array([[1.0 / (z - zi) for zi in sys3.sites] for z in nodes])
     weights = np.linalg.pinv(basis)
@@ -240,3 +240,32 @@ def test_commutator_norm_trivial():
     assert rq.commutator_norm(np.eye(2), a) == 0.0
     with pytest.raises(ValueError):
         rq.commutator_norm(np.eye(2), np.eye(3))
+
+
+# tr(P c_a) for the probe matrix P below and the SU2Quadrature(8, 8) pencil
+# coefficients c_a, as computed before the extraction plan was shared.  At
+# l = 3 the exact pencil vanishes (sl2 has no cubic invariant), so those
+# values are rounding noise of about 1e-13.
+HIGHER_GAUDIN_REFERENCE = {
+    2: {(0, 0, 1): -7.5072263094280745 - 7.4975351404333015j,
+        (0, 1, 0): 7.507226309427858 - 5.835798192899917j,
+        (1, 0, 0): 2.0961010704922955e-13 + 13.333333333333226j},
+    3: {(0, 0, 2): -2.336568817271332e-14 - 2.0918245484141073e-14j,
+        (0, 1, 1): 6.980647293799455e-14 + 1.049832896954943e-13j,
+        (0, 2, 0): -4.871226797176123e-14 - 8.3469425797563e-14j,
+        (1, 0, 1): 4.072878645585496e-14 + 4.162307242157288e-14j,
+        (1, 1, 0): 9.888415942010898e-14 + 1.6834350696942708e-13j,
+        (2, 0, 0): -1.3709919572384798e-13 - 2.1067827266050834e-13j},
+}
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_higher_gaudin_reference_values(l):
+    sys3 = make_system([1, 1, 1], [0.0, 1.0, -1.0])
+    dim = sys3.space.dim
+    idx = np.arange(dim * dim).reshape(dim, dim)
+    probe = (idx % 7 - 3) + 1j * (idx % 5 - 2)
+    pencil = rq.higher_gaudin(sys3, rq.eigen_h(2), l, rq.SU2Quadrature(8, 8))
+    assert sorted(pencil.coeffs) == sorted(HIGHER_GAUDIN_REFERENCE[l])
+    for a, ref in HIGHER_GAUDIN_REFERENCE[l].items():
+        assert abs(np.trace(probe @ pencil.coeffs[a]) - ref) < 1e-13

@@ -33,15 +33,15 @@ def ctx(request):
 
 
 def test_theta_zero_at_one(ctx):
-    assert th.theta(ctx, 1.0) == 0.0
+    assert ctx.theta(1.0) == 0.0
 
 
 def test_theta_q_zero_is_linear():
     c0 = th.ThetaContext(0.0)
     z = 2.0 + 1.0j
-    assert th.theta(c0, z) == pytest.approx(1.0 - z)
+    assert c0.theta(z) == pytest.approx(1.0 - z)
     # u(z) = -z/(1-z) when q = 0
-    assert th.theta_logderiv(c0, z) == pytest.approx(-z / (1.0 - z))
+    assert c0.theta_ratio(z) == pytest.approx(-z / (1.0 - z))
 
 
 def test_theta_rejects_bad_modulus():
@@ -53,14 +53,14 @@ def test_theta_rejects_bad_modulus():
 
 def test_theta_rejects_zero_argument(ctx):
     with pytest.raises(th.ThetaError):
-        th.theta(ctx, 0.0)
+        ctx.theta(0.0)
 
 
 def test_pole_guard(ctx):
     q = ctx.q
     for k in (0, 1, -1, 2):
         with pytest.raises(th.PoleError):
-            th.theta_logderiv(ctx, q ** k * (1.0 + 1e-12))
+            ctx.theta_ratio(q ** k * (1.0 + 1e-12))
 
 
 def test_functional_equation(ctx):
@@ -95,7 +95,7 @@ def test_logderiv_simple_pole_at_one(ctx):
     vals = []
     for h in (1e-2, 1e-3, 1e-4):
         z = 1.0 + h
-        vals.append((z - 1.0) * th.theta_logderiv(ctx, z))
+        vals.append((z - 1.0) * ctx.theta_ratio(z))
     errs = [abs(v - 1.0) for v in vals]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
@@ -109,7 +109,7 @@ def test_wp_even(ctx):
 def test_wp_double_pole(ctx):
     # tau^2 wp(e^tau) -> 1 as tau -> 0
     for tau in (1e-2, 1e-3):
-        val = tau ** 2 * th.wp(ctx, cmath.exp(tau))
+        val = tau ** 2 * ctx.wp(cmath.exp(tau))
         assert abs(val - 1.0) < 10 * tau ** 2
 
 
@@ -161,11 +161,11 @@ def test_kernel_identities(ctx, ident):
         z, w, t, s = pts[4 * k:4 * k + 4]
         try:
             if ident == "A":
-                r = th.check_theta_identity(ctx, "A", (z, w, t, s))
+                r = th.addition_residual(ctx, z, w, t, s)
             elif ident == "B":
-                r = th.check_theta_identity(ctx, "B", (z, w, t))
+                r = th.mixed_derivative_residual(ctx, z, w, t)
             else:
-                r = th.check_theta_identity(ctx, "C", (z, w, t, s))
+                r = th.quasi_invariance_residual(ctx, z, w, t, s)
         except th.PoleError:
             continue
         assert r < 1e-10
@@ -173,7 +173,7 @@ def test_kernel_identities(ctx, ident):
 
 def test_identity_a_spec_point():
     ctx = th.ThetaContext(0.2)
-    r = th.check_theta_identity(ctx, "A", (1.3 + 0.2j, 0.7, 1.9, 0.4j))
+    r = th.addition_residual(ctx, 1.3 + 0.2j, 0.7, 1.9, 0.4j)
     assert r < 1e-10
 
 
