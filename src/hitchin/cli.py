@@ -11,6 +11,7 @@ the CSV bodies are byte-identical across repeated runs.
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -225,7 +226,12 @@ def run_rational_classical(cfg):
     scale = max(1.0, max(abs(v) for v in coeffs.values.values()))
     flow_worst = 0.0
     for d, a in coeffs.keys():
-        _, drift = rc.integrate_flow(pt, (d, a), T=1.0, dt=1e-2)
+        try:
+            _, drift = rc.integrate_flow(pt, (d, a), T=1.0, dt=1e-2)
+        except OverflowError:
+            # the trajectory escaped: nothing was conserved
+            flow_worst = math.inf
+            break
         flow_worst = max(flow_worst, drift / scale)
     return [
         ("involutivity", "n=%d,N=%d" % (n, N), inv_worst, cfg["tol"]),

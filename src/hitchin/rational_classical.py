@@ -6,6 +6,7 @@ Poisson bracket on products of coadjoint orbits, and the induced
 isospectral flows with an RK4 integrator.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -96,8 +97,17 @@ def lax_rational(point, z):
 
 
 def _hitchin_plan(sites, d):
-    """Extraction plan for the degree-d power trace."""
-    return PartialFractionPlan(sites, d - 1, max(4 * len(sites) * d, 16), 0.31)
+    """Extraction plan for the degree-d power trace, shared by every caller
+    with the same sites (a flow builds one per RK4 stage otherwise)."""
+    return _shared_plan(tuple(sites), int(d))
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_plan(sites, d):
+    plan = PartialFractionPlan(sites, d - 1, max(4 * len(sites) * d, 16), 0.31)
+    plan.nodes.flags.writeable = False
+    plan.weights.flags.writeable = False
+    return plan
 
 
 def _power_traces(point, d, nodes):

@@ -15,6 +15,19 @@ Derived objects:
 * ``kernel`` -- K_t(x) = theta(t x) / (theta(t) theta(x)), the basic
   two-variable kernel of the elliptic Lax matrices, and its normalised
   variant ``sigma`` = theta'(1) K_t(x) which has residue 1 at x = 1.
+
+Evaluation.  Each ``ThetaContext`` keeps one table of q^1 ... q^(n-1),
+built by a running product and grown on demand, shared by every series
+of the context.  ``theta`` is one product over the term array, seeded
+with 1 - z; ``_logderiv_terms`` evaluates the degree-(k+1) polynomial
+D^k(v - 1) in v = 1/(1-y) (cached per order) over all terms
+y = q^i z^(+-1) at once and sums them left to right, the order of the
+scalar loop it replaced.  Each context also memoises ``theta`` and
+``_logderiv_terms`` by argument (and order): a repeated argument returns
+the stored value before the series and before the pole guard, which it
+already passed.  The memo holds at most ``_MEMO_CAP`` entries and is
+cleared when full; a PoleError or TruncationError is never stored.  There
+is no cache shared between contexts.
 """
 
 from __future__ import annotations
@@ -37,6 +50,11 @@ class TruncationError(ThetaError):
     """The q-series would need more than max_terms terms to converge."""
 
 
+# Entries a context's memo holds before it is cleared.  One CLI operation
+# meets a few hundred to a few thousand distinct leaf arguments.
+_MEMO_CAP = 4096
+
+
 class ThetaContext:
     """Evaluation context: nome q, tolerance, truncation and pole guards.
 
@@ -57,6 +75,9 @@ class ThetaContext:
         self.pole_guard = float(pole_guard)
         self._theta_prime_one = None
         self._wp_const = None
+        self._qpow = np.empty(0, dtype=complex)
+        self._euler_polys = {}
+        self._memo = {}
 
     # -- basic guards ------------------------------------------------------
 
@@ -73,6 +94,20 @@ class ThetaContext:
             raise TruncationError(
                 "series needs %d terms (max_terms=%d)" % (n, self.max_terms))
         return n
+
+    def _qpowers(self, n):
+        """q^1 ... q^(n-1), from a table grown on demand (running product,
+        so a longer table starts with the same values)."""
+        if len(self._qpow) < n - 1:
+            self._qpow = np.cumprod(np.full(n - 1, self.q))
+        return self._qpow[:n - 1]
+
+    def _remember(self, key, value):
+        memo = self._memo
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = value
+        return value
 
     def check_regular(self, z):
         """Raise PoleError if z is within pole_guard of the lattice q^Z."""
@@ -104,63 +139,63 @@ class ThetaContext:
     def theta(self, z):
         """Multiplicative theta function (zeros on q^Z, no poles)."""
         z = complex(z)
+        hit = self._memo.get((z, None))
+        if hit is not None:
+            return hit
         if z == 0:
             raise PoleError("theta argument must lie in C^x")
-        q = self.q
         scale = abs(z) + 1.0 / abs(z) + 2.0
-        n = self._nterms(scale)
-        out = 1.0 - z
-        qi = q
-        for _ in range(1, n):
-            out *= (1.0 - qi * z) * (1.0 - qi / z)
-            qi *= q
-        return out
+        qi = self._qpowers(self._nterms(scale))
+        factors = np.empty(len(qi) + 1, dtype=complex)
+        factors[0] = 1.0 - z
+        factors[1:] = (1.0 - qi * z) * (1.0 - qi / z)
+        return self._remember((z, None), complex(np.cumprod(factors)[-1]))
 
     def theta_prime_one(self):
         """theta'(1) = -prod_{i>=1} (1-q^i)^2 (slope at the zero z=1)."""
         if self._theta_prime_one is None:
-            q = self.q
-            n = self._nterms(4.0)
-            prod = 1.0 + 0j
-            qi = q
-            for _ in range(1, n):
-                prod *= 1.0 - qi
-                qi *= q
+            qi = self._qpowers(self._nterms(4.0))
+            prod = complex(math.prod(1.0 - qi))
             self._theta_prime_one = -prod * prod
         return self._theta_prime_one
+
+    def _euler_poly(self, k):
+        """Coefficients (highest degree first) of D^k (v - 1) as a
+        polynomial in v = 1/(1-y), where D v = v^2 - v."""
+        p = self._euler_polys.get(k)
+        if p is None:
+            # p = v - 1 as coefficient array in v, then apply D k times
+            c = np.array([-1.0, 1.0], dtype=complex)
+            for _ in range(k):
+                m = np.arange(len(c))
+                nxt = np.zeros(len(c) + 1, dtype=complex)
+                nxt[1:] += m * c          # m * v^{m+1}
+                nxt[:-1] -= m * c         # -m * v^m
+                c = nxt
+            p = self._euler_polys[k] = c[::-1]
+        return p
 
     def _logderiv_terms(self, z, k):
         """D^k of z theta'/theta, D = z d/dz, via per-term polynomials.
 
         Each series term is y/(1-y) up to sign with y = q^i z^{+-1}; writing
         v = 1/(1-y), the Euler derivative acts on polynomials in v through
-        D v = v^2 - v, so D^k of a term is a polynomial in v.
+        D v = v^2 - v, so D^k of a term is a polynomial in v, evaluated
+        over all terms at once.
         """
-        # p = v - 1 as coefficient array in v, then apply Delta k times
-        p = np.array([-1.0, 1.0], dtype=complex)
-        for _ in range(k):
-            m = np.arange(len(p))
-            nxt = np.zeros(len(p) + 1, dtype=complex)
-            nxt[1:] += m * p          # m * v^{m+1}
-            nxt[:-1] -= m * p         # -m * v^m
-            p = nxt
-
-        def pval(y):
-            v = 1.0 / (1.0 - y)
-            return np.polyval(p[::-1], v)
-
         z = complex(z)
+        hit = self._memo.get((z, k))
+        if hit is not None:
+            return hit
         self.check_regular(z)
-        q = self.q
+        p = self._euler_poly(k)
         scale = abs(z) + 1.0 / abs(z) + 2.0
-        n = self._nterms(scale)
-        total = -pval(z)
-        qi = q
-        sgn = (-1.0) ** k
-        for _ in range(1, n):
-            total += -pval(qi * z) + sgn * pval(qi / z)
-            qi *= q
-        return total
+        qi = self._qpowers(self._nterms(scale))
+        terms = np.empty(len(qi) + 1, dtype=complex)
+        terms[0] = -np.polyval(p, 1.0 / (1.0 - z))
+        terms[1:] = (-np.polyval(p, 1.0 / (1.0 - qi * z))
+                     + (-1.0) ** k * np.polyval(p, 1.0 / (1.0 - qi / z)))
+        return self._remember((z, k), np.cumsum(terms)[-1])
 
     def theta_ratio(self, z):
         """u(z) = z theta'(z) / theta(z)."""
@@ -177,13 +212,8 @@ class ThetaContext:
     def wp_const(self):
         """c(q) = 1/12 - 2 sum_{i>=1} q^i/(1-q^i)^2, fixing wp ~ 1/tau^2."""
         if self._wp_const is None:
-            q = self.q
-            n = self._nterms(4.0)
-            s = 0.0 + 0j
-            qi = q
-            for _ in range(1, n):
-                s += qi / (1.0 - qi) ** 2
-                qi *= q
+            qi = self._qpowers(self._nterms(4.0))
+            s = complex(sum(qi / (1.0 - qi) ** 2))
             self._wp_const = 1.0 / 12.0 - 2.0 * s
         return self._wp_const
 

@@ -103,6 +103,17 @@ class TestRuns:
         assert (out1 / "rational-classical.csv").read_bytes() != \
             (out2 / "rational-classical.csv").read_bytes()
 
+    def test_flow_overflow_is_a_failing_row(self, tmp_path, capsys):
+        # at seed 3 the RK4 trajectory escapes the overflow bound
+        code = run(["rational-classical", "--seed", "3",
+                    "--out", str(tmp_path)])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        row = read_rows(tmp_path / "rational-classical.csv")[
+            "flow_conservation"]
+        assert (row["residual"], row["status"]) == ("inf", "FAIL")
+        assert (tmp_path / "rational-classical.json").exists()
+
     def test_elliptic_quantum_run(self, tmp_path):
         code = run(["elliptic-quantum", "--seed", "1", "--weights", "1,1",
                     "--k", "2", "--twists", "3", "--out", str(tmp_path)])

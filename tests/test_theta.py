@@ -230,3 +230,44 @@ def test_wp_even_property(x, y):
     if min(abs(z - 0.3 ** k) for k in range(-2, 3)) < 0.03:
         return
     assert th.wp_even_residual(ctx, z) < 1e-10
+
+
+# -- per-context memo --------------------------------------------------------
+
+def test_memo_repeat_returns_first_value(ctx):
+    z = 1.37 + 0.41j
+    first = (ctx.theta(z), [ctx.theta_ratio_deriv(z, k) for k in range(3)])
+    again = (ctx.theta(z), [ctx.theta_ratio_deriv(z, k) for k in range(3)])
+    assert again == first
+    fresh = th.ThetaContext(ctx.q)
+    ref = (fresh.theta(z), [fresh.theta_ratio_deriv(z, k) for k in range(3)])
+    for got, want in zip([first[0]] + first[1], [ref[0]] + ref[1]):
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_memo_does_not_store_pole_errors(ctx):
+    z = ctx.q * (1.0 + 1e-12)
+    for _ in range(2):
+        with pytest.raises(th.PoleError):
+            ctx.theta_ratio(z)
+        with pytest.raises(th.PoleError):
+            ctx.theta(0.0)
+
+
+def test_memo_is_per_context():
+    a, b = th.ThetaContext(0.3), th.ThetaContext(0.5 + 0.1j)
+    z = 1.1 + 0.7j
+    va, vb = a.theta(z), b.theta(z)
+    ua, ub = a.theta_ratio(z), b.theta_ratio(z)
+    assert va != vb and ua != ub
+    fresh = th.ThetaContext(0.5 + 0.1j)
+    assert (vb, ub) == (fresh.theta(z), fresh.theta_ratio(z))
+
+
+def test_memo_size_is_capped():
+    c = th.ThetaContext(0.3)
+    cap = th._MEMO_CAP
+    assert cap < 10000
+    for j in range(10000):
+        c.theta(1.0 + 1e-3 * (j + 1) * 1j)
+        assert len(c._memo) <= cap
