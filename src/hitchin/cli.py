@@ -132,15 +132,18 @@ def resolve_config(name, raw, overrides):
 
 
 def _status(residual, tol):
-    """"n/a" for a check that had nothing to test, else pass/FAIL."""
+    """"n/a" for a check that had nothing to test, else pass/FAIL.  A
+    tolerance of 0 marks an exact check, which passes only at zero."""
     if residual is None:
         return "n/a"
-    return "pass" if residual < tol else "FAIL"
+    return "pass" if residual < tol or residual == tol == 0 else "FAIL"
 
 
 def _fmt(value):
-    """Format a number for CSV: floats as shortest round-trip text,
-    complex numbers as a "re+imj" string."""
+    """Format a number for CSV: integers as themselves, floats as
+    shortest round-trip text, complex numbers as a "re+imj" string."""
+    if isinstance(value, int):
+        return str(value)
     value = complex(value)
     if value.imag == 0.0:
         return repr(value.real)
@@ -265,25 +268,25 @@ def run_rational_quantum(cfg):
     if all(s.imag == 0 for s in sites):
         exact = rq.gaudin_residues_exact(
             weights, [Fraction(repr(s.real)) for s in sites])
-        exact_comm = 0.0
-        for i in range(len(exact)):
-            for j in range(i + 1, len(exact)):
-                c = exact[i] @ exact[j] - exact[j] @ exact[i]
-                exact_comm = max(exact_comm,
-                                 float(max(abs(v) for v in c.ravel())))
+        # kept as a Fraction: a float could round a nonzero residue to 0
+        exact_comm = Fraction(max(
+            (abs(v) for i in range(len(exact))
+             for j in range(i + 1, len(exact))
+             for v in (exact[i] @ exact[j] - exact[j] @ exact[i]).ravel()),
+            default=0))
     s = rq.s_polynomials(cfg["n"], cfg["p_max"])
     n = cfg["n"]
-    s_res = float(abs(s[1] - Fraction(n, 2))
-                  + abs(s[2] - Fraction(-2 * n, 3))
-                  + (abs(s[3] - Fraction(n * (n + 6), 8))
-                     if cfg["p_max"] >= 4 else 0))
+    s_res = Fraction(abs(s[1] - Fraction(n, 2))
+                     + abs(s[2] - Fraction(-2 * n, 3))
+                     + (abs(s[3] - Fraction(n * (n + 6), 8))
+                        if cfg["p_max"] >= 4 else 0))
     wtxt = ",".join(str(w) for w in weights)
     return [
         ("gaudin_commutators", "weights=%s" % wtxt, comm, cfg["tol"]),
         ("gaudin_sum_rule", "weights=%s" % wtxt, total, cfg["tol"]),
-        ("gaudin_commutators_exact", "weights=%s" % wtxt, exact_comm, 0.5),
+        ("gaudin_commutators_exact", "weights=%s" % wtxt, exact_comm, 0),
         ("s_polynomial_values", "n=%d,p_max=%d" % (n, cfg["p_max"]),
-         s_res, 0.5),
+         s_res, 0),
     ], None
 
 

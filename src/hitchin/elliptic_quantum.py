@@ -7,10 +7,13 @@ coefficients of the trace of the squared operator Lax matrix and commute
 on the weight-zero subspace.
 """
 
+import operator
+from math import comb
+
 import numpy as np
 
 from .lie import TensorRepSpace
-from .theta import ThetaContext, PoleError
+from .theta import PoleError
 from .theta_expr import ThetaExpr, kernel_expr, sigma_expr
 
 
@@ -32,112 +35,80 @@ class QuantumEllipticParams:
         self.dim = self.space.dim
 
 
-class CoeffSum:
-    """Matrix-valued theta expression: a sum of (scalar expression) times
-    (constant matrix) terms."""
+class CoeffSum(ThetaExpr):
+    """Matrix-valued theta expression: a ThetaExpr whose coefficients are
+    constant matrices."""
 
-    def __init__(self, dim, terms=None):
-        self.dim = dim
-        self.terms = list(terms) if terms else []
+    __slots__ = ()
 
     @classmethod
     def of(cls, expr, mat):
-        mat = np.asarray(mat, dtype=complex)
-        return cls(mat.shape[0], [(expr, mat)])
-
-    def __add__(self, other):
-        return CoeffSum(self.dim, self.terms + other.terms)
-
-    def __neg__(self):
-        return CoeffSum(self.dim,
-                        [(ThetaExpr.const(-1.0) * e, m)
-                         for e, m in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
+        """expr * mat for a scalar theta expression or number expr."""
+        return cls({(): np.asarray(mat, dtype=complex)}) * expr
 
     def matmul(self, other):
-        out = []
-        for ea, ma in self.terms:
-            for eb, mb in other.terms:
-                out.append((ea * eb, ma @ mb))
-        return CoeffSum(self.dim, out)
-
-    def euler(self, times=1):
-        terms = self.terms
-        for _ in range(times):
-            terms = [(e.euler(), m) for e, m in terms]
-        return CoeffSum(self.dim, terms)
+        """Product with the coefficient matrices multiplied by @."""
+        return self._product(other, operator.matmul)
 
     def evaluate(self, ctx, t):
-        val = np.zeros((self.dim, self.dim), dtype=complex)
-        for e, m in self.terms:
-            val += e(ctx, t) * m
-        return val
+        """Numeric matrix at a point t."""
+        return self(ctx, t)
 
 
 class EulerDiffOp:
     """Finite sum over m >= 0 of A_m(t) D^m with D = t d/dt and A_m a
-    matrix-valued theta expression on the representation space."""
+    matrix-valued theta expression on the representation space.  Degrees
+    whose coefficient vanishes identically are not stored."""
 
     def __init__(self, dim, coeffs=None):
         self.dim = dim
-        self.coeffs = dict(coeffs) if coeffs else {}
+        self.coeffs = {m: cs for m, cs in (coeffs or {}).items() if cs.terms}
 
     @classmethod
     def function(cls, expr, mat):
+        """Multiplication by expr(t) mat, for a scalar theta expression or
+        number expr and a constant matrix mat."""
         mat = np.asarray(mat, dtype=complex)
         return cls(mat.shape[0], {0: CoeffSum.of(expr, mat)})
 
     @classmethod
     def derivative(cls, dim, order=1):
-        ident = np.eye(dim)
-        return cls(dim, {order: CoeffSum.of(ThetaExpr.const(1.0), ident)})
+        return cls(dim, {order: CoeffSum.of(1.0, np.eye(dim))})
 
     def degree(self):
         return max(self.coeffs) if self.coeffs else 0
 
-    def _accum(self, m, cs):
-        if m in self.coeffs:
-            self.coeffs[m] = self.coeffs[m] + cs
-        else:
-            self.coeffs[m] = cs
-
     def __add__(self, other):
-        out = EulerDiffOp(self.dim, self.coeffs)
-        out.coeffs = dict(self.coeffs)
+        coeffs = dict(self.coeffs)
         for m, cs in other.coeffs.items():
-            out._accum(m, cs)
-        return out
+            coeffs[m] = coeffs.get(m, CoeffSum()) + cs
+        return EulerDiffOp(self.dim, coeffs)
 
     def __neg__(self):
-        return EulerDiffOp(self.dim,
-                           {m: -cs for m, cs in self.coeffs.items()})
+        return self.scale(-1.0)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, v):
-        e = ThetaExpr.const(v) if not isinstance(v, ThetaExpr) else v
-        return EulerDiffOp(self.dim, {
-            m: CoeffSum(self.dim, [(e * ex, mat) for ex, mat in cs.terms])
-            for m, cs in self.coeffs.items()})
+        """Multiply every coefficient by a scalar theta expression or
+        number v."""
+        return EulerDiffOp(self.dim,
+                           {m: cs * v for m, cs in self.coeffs.items()})
 
     def __matmul__(self, other):
         """Operator composition: A(t)D^m B(t)D^k expands by Leibniz with
         the symbolic Euler derivative of B."""
-        from math import comb
-        out = EulerDiffOp(self.dim)
-        for m, am in self.coeffs.items():
-            for k, bk in other.coeffs.items():
+        out = {}
+        for k, bk in other.coeffs.items():
+            derivs = [bk]
+            while len(derivs) <= self.degree():
+                derivs.append(derivs[-1].euler())
+            for m, am in self.coeffs.items():
                 for j in range(m + 1):
-                    cs = am.matmul(bk.euler(times=j))
-                    if comb(m, j) != 1:
-                        cs = CoeffSum(self.dim, [
-                            (ThetaExpr.const(comb(m, j)) * e, mat)
-                            for e, mat in cs.terms])
-                    out._accum(m - j + k, cs)
-        return out
+                    out[m - j + k] = out.get(m - j + k, CoeffSum()) \
+                        + am.matmul(derivs[j]) * comb(m, j)
+        return EulerDiffOp(self.dim, out)
 
     def evaluate(self, ctx, t):
         """Numeric coefficient matrices {m: A_m(t)} at a point t."""
@@ -146,11 +117,21 @@ class EulerDiffOp:
     def apply_power(self, ctx, t, expn, vec):
         """Apply to the trial function t^expn * vec and strip the common
         t^expn factor: D^m picks up expn^m."""
-        vals = self.evaluate(ctx, t)
-        out = np.zeros(self.dim, dtype=complex)
-        for m, mat in vals.items():
-            out += (expn ** m) * (mat @ vec)
-        return out
+        return _at_power(self.evaluate(ctx, t), expn, self.dim) @ vec
+
+
+def _at_power(vals, expn, dim):
+    """sum_m expn^m A_m of evaluated coefficients {m: A_m}: the matrix by
+    which the operator acts on t^expn * v once t^expn is stripped."""
+    return sum((expn ** m * mat for m, mat in vals.items()),
+               np.zeros((dim, dim), dtype=complex))
+
+
+def _max_diff(a, b):
+    """Largest entry of |a_m - b_m| over the degrees of two evaluated
+    operators {m: matrix}, a missing degree reading as zero."""
+    return max((np.abs(a.get(m, 0) - b.get(m, 0)).max()
+                for m in set(a) | set(b)), default=0.0)
 
 
 def commutator(a, b):
@@ -172,8 +153,7 @@ def reduced_momentum(params):
     op = EulerDiffOp.derivative(d).scale(2.0)
     if params.k != 0:
         op = op + EulerDiffOp.function(
-            ThetaExpr.const(2.0 * params.k) * ThetaExpr.u(1.0, 2),
-            np.eye(d))
+            2.0 * params.k * ThetaExpr.u(1.0, 2), np.eye(d))
     return op
 
 
@@ -191,23 +171,20 @@ def lax_quantum(params, z):
     e, f, h = _site_matrices(params)
     tp1 = ThetaExpr.theta_prime_one()
     phat = reduced_momentum(params)
-    half = ThetaExpr.const(0.5)
     L = np.empty((2, 2), dtype=object)
-    L[0, 0] = phat.scale(0.5)
-    L[1, 1] = phat.scale(-0.5)
+    diag = phat.scale(0.5)
     L[0, 1] = EulerDiffOp(d)
     L[1, 0] = EulerDiffOp(d)
     for i, zi in enumerate(params.sites):
         x = z / zi
-        ushift = ThetaExpr.u(x, 0) - half
-        L[0, 0] = L[0, 0] + EulerDiffOp.function(ushift, 0.5 * h[i])
-        L[1, 1] = L[1, 1] + EulerDiffOp.function(ushift, -0.5 * h[i])
+        diag = diag + EulerDiffOp.function(ThetaExpr.u(x, 0) - 0.5,
+                                           0.5 * h[i])
         L[0, 1] = L[0, 1] + EulerDiffOp.function(
             kernel_expr(1.0, -2, x), e[i])
         L[1, 0] = L[1, 0] + EulerDiffOp.function(
             kernel_expr(1.0, 2, x), f[i])
-    L[0, 0] = L[0, 0].scale(ThetaExpr.const(1.0) / tp1)
-    L[1, 1] = L[1, 1].scale(ThetaExpr.const(1.0) / tp1)
+    L[0, 0] = diag.scale(1.0 / tp1)
+    L[1, 1] = diag.scale(-1.0 / tp1)
     return L
 
 
@@ -222,32 +199,28 @@ def quantum_hamiltonians(params):
     """
     ctx = params.ctx
     N = len(params.weights)
-    d = params.dim
     zs = params.sites
     e, f, h = _site_matrices(params)
-    ident = np.eye(d)
     u = ctx.theta_ratio
     # effective momentum p_hat - (1/2) sum_j h^(j), the operator version
     # of the half-charge shift in the classical diagonal
     pe = reduced_momentum(params)
     for j in range(N):
-        pe = pe - EulerDiffOp.function(ThetaExpr.const(0.5), h[j])
+        pe = pe - EulerDiffOp.function(0.5, h[j])
 
     his = []
     for i in range(N):
-        op = pe @ EulerDiffOp.function(ThetaExpr.const(1.0), h[i])
+        op = pe @ EulerDiffOp.function(1.0, h[i])
         for j in range(N):
             if j == i:
                 continue
             w_ij = zs[i] / zs[j]
             op = op + EulerDiffOp.function(
-                ThetaExpr.const(0.5 * (2.0 * u(w_ij) - 1.0)), h[i] @ h[j])
+                0.5 * (2.0 * u(w_ij) - 1.0), h[i] @ h[j])
             op = op + EulerDiffOp.function(
-                ThetaExpr.const(2.0) * sigma_expr(1.0, 2, w_ij),
-                e[i] @ f[j])
+                2.0 * sigma_expr(1.0, 2, w_ij), e[i] @ f[j])
             op = op + EulerDiffOp.function(
-                ThetaExpr.const(2.0) * sigma_expr(1.0, -2, w_ij),
-                f[i] @ e[j])
+                2.0 * sigma_expr(1.0, -2, w_ij), f[i] @ e[j])
         his.append(op)
 
     h0 = (pe @ pe).scale(0.5)
@@ -258,8 +231,7 @@ def quantum_hamiltonians(params):
             w_ij = zs[i] / zs[j]
             uw = u(w_ij)
             block = ctx.wp(w_ij) - uw ** 2 + uw - 0.25
-            h0 = h0 + EulerDiffOp.function(
-                ThetaExpr.const(-0.25 * block), h[i] @ h[j])
+            h0 = h0 + EulerDiffOp.function(-0.25 * block, h[i] @ h[j])
             h0 = h0 + EulerDiffOp.function(
                 (ThetaExpr.u(w_ij, 2) - ThetaExpr.u(1.0, 2))
                 * sigma_expr(1.0, 2, w_ij), e[i] @ f[j])
@@ -268,15 +240,12 @@ def quantum_hamiltonians(params):
                 * sigma_expr(1.0, -2, w_ij), f[i] @ e[j])
     for i in range(N):
         h0 = h0 + EulerDiffOp.function(
-            ThetaExpr.const(-1.0) * ThetaExpr.wp(1.0, 2),
-            e[i] @ f[i] + f[i] @ e[i])
+            -ThetaExpr.wp(1.0, 2), e[i] @ f[i] + f[i] @ e[i])
 
     totalh = sum(h[j] for j in range(N))
-    kis = [EulerDiffOp.function(ThetaExpr.const(0.5), h[i] @ totalh)
-           for i in range(N)]
+    kis = [EulerDiffOp.function(0.5, h[i] @ totalh) for i in range(N)]
     mis = [EulerDiffOp.function(
-        ThetaExpr.const(1.0),
-        0.5 * h[i] @ h[i] + e[i] @ f[i] + f[i] @ e[i]
+        1.0, 0.5 * h[i] @ h[i] + e[i] @ f[i] + f[i] @ e[i]
         - 0.5 * h[i] @ totalh) for i in range(N)]
     return h0, his, kis, mis
 
@@ -300,8 +269,7 @@ def ordering_counterterm(params):
                 continue
             w_ij = zs[i] / zs[j]
             q = q + EulerDiffOp.function(
-                ThetaExpr.const(2.0)
-                * (ThetaExpr.u(w_ij, 2) - ThetaExpr.u(1.0, 2))
+                2.0 * (ThetaExpr.u(w_ij, 2) - ThetaExpr.u(1.0, 2))
                 * sigma_expr(1.0, 2, w_ij), e[i] @ f[j])
     return q
 
@@ -336,24 +304,13 @@ def trace_expansion_residual(params, z, t, ops=None):
     for a in range(2):
         for b in range(2):
             tr = tr + L[a, b] @ L[b, a]
-    tp1sq = ctx.theta_prime_one() ** 2
-    lhs = tr.evaluate(ctx, t)
-    rhs = h0.evaluate(ctx, t)
+    rhs = h0
     for i, zi in enumerate(params.sites):
-        ui = ctx.theta_ratio(z / zi)
-        wpi = ctx.wp(z / zi)
-        for m, mat in his[i].evaluate(ctx, t).items():
-            rhs[m] = rhs.get(m, 0) + ui * mat
-        for m, mat in kis[i].evaluate(ctx, t).items():
-            rhs[m] = rhs.get(m, 0) + ui ** 2 * mat
-        for m, mat in mis[i].evaluate(ctx, t).items():
-            rhs[m] = rhs.get(m, 0) + wpi * mat
-    resid = 0.0
-    for m in set(lhs) | set(rhs):
-        a = tp1sq * lhs.get(m, np.zeros((params.dim,) * 2))
-        b = rhs.get(m, np.zeros((params.dim,) * 2))
-        resid = max(resid, np.abs(a - b).max())
-    return resid
+        ui, wpi = ctx.theta_ratio(z / zi), ctx.wp(z / zi)
+        rhs = rhs + his[i].scale(ui) + kis[i].scale(ui ** 2) \
+            + mis[i].scale(wpi)
+    lhs = tr.scale(ctx.theta_prime_one() ** 2)
+    return _max_diff(lhs.evaluate(ctx, t), rhs.evaluate(ctx, t))
 
 
 def check_reduced_commutativity(params, t_samples, exponents, ops=None):
@@ -376,9 +333,11 @@ def check_reduced_commutativity(params, t_samples, exponents, ops=None):
     ctx = params.ctx
     fam = commuting_hamiltonians(params, ops=ops)
     proj = params.space.weight_zero_projector()
-    vecs = [col for col in proj.T if np.linalg.norm(col) > 1e-12]
+    vecs = [col / np.linalg.norm(col) for col in proj.T
+            if np.linalg.norm(col) > 1e-12]
     if not vecs:
         return None
+    vecs = np.array(vecs).T
     worst = 0.0
     scale = 0.0
     for a in range(len(fam)):
@@ -389,12 +348,10 @@ def check_reduced_commutativity(params, t_samples, exponents, ops=None):
                 cvals = comm.evaluate(ctx, t)
                 pvals = prod.evaluate(ctx, t)
                 for m in exponents:
-                    cmat = sum((m ** mm) * mat for mm, mat in cvals.items())
-                    pmat = sum((m ** mm) * mat for mm, mat in pvals.items())
-                    for v in vecs:
-                        vn = v / np.linalg.norm(v)
-                        worst = max(worst, np.linalg.norm(cmat @ vn))
-                        scale = max(scale, np.linalg.norm(pmat @ vn))
+                    cv = _at_power(cvals, m, params.dim) @ vecs
+                    pv = _at_power(pvals, m, params.dim) @ vecs
+                    worst = max(worst, np.linalg.norm(cv, axis=0).max())
+                    scale = max(scale, np.linalg.norm(pv, axis=0).max())
     return worst / max(scale, 1.0)
 
 
@@ -485,7 +442,6 @@ def symbol_residual(params, rng, samples=20):
 
 def _shift_derivative(coeffs, c):
     """Rewrite sum_m A_m D^m with D replaced by D + c."""
-    from math import comb
     out = {}
     for m, mat in coeffs.items():
         for j in range(m + 1):
@@ -516,7 +472,6 @@ def check_s2_invariance(params, z, t):
     """
     ctx = params.ctx
     k = params.k
-    d = params.dim
     lax = lax_quantum(params, z)
     weyl = _weyl_element(params)
     weyl_inv = np.linalg.inv(weyl)
@@ -528,10 +483,8 @@ def check_s2_invariance(params, z, t):
             raw = {m: ((-1.0) ** m) * mat for m, mat in raw.items()}
             raw = _shift_derivative(raw, float(k))
             sign = 1.0 if a == b else -1.0
-            for m in set(ref) | set(raw):
-                cand = sign * weyl @ raw.get(m, np.zeros((d, d))) @ weyl_inv
-                worst = max(worst, np.abs(
-                    cand - ref.get(m, np.zeros((d, d)))).max())
+            cand = {m: sign * weyl @ mat @ weyl_inv for m, mat in raw.items()}
+            worst = max(worst, _max_diff(cand, ref))
     return worst
 
 
@@ -560,11 +513,10 @@ def check_lattice_invariance(params, z, t):
         for b in range(2):
             adfac = 1.0 / z if (a, b) == (0, 1) else \
                 z if (a, b) == (1, 0) else 1.0
-            ref = lax[a, b].evaluate(ctx, t)
+            ref = {m: adfac * mat
+                   for m, mat in lax[a, b].evaluate(ctx, t).items()}
             raw = lax[a, b].evaluate(ctx, tq)
             raw = _shift_derivative(raw, -float(k))
-            for m in set(ref) | set(raw):
-                cand = conj @ raw.get(m, np.zeros((d, d))) @ conj_inv
-                worst = max(worst, np.abs(
-                    cand - adfac * ref.get(m, np.zeros((d, d)))).max())
+            cand = {m: conj @ mat @ conj_inv for m, mat in raw.items()}
+            worst = max(worst, _max_diff(cand, ref))
     return worst

@@ -1,85 +1,150 @@
-"""Symbolic expressions in one multiplicative variable built from theta
-generators, closed under the Euler derivative D = t d/dt.
+"""Symbolic expressions in one multiplicative variable t, closed under the
+Euler derivative D = t d/dt, in a canonical sparse-polynomial form.
 
-Generators: constants, monomials c*t^m, theta(c*t^m), the logarithmic
-derivative u(c*t^m) = theta_dot/theta, the normalized Weierstrass function
-wp(ln(c*t^m)) and its Euler derivatives, and the q-dependent constants
-theta'(1) and the wp normalization constant.  Closure under D follows from
+A generator is a tuple (kind, c, m, order): ("t", 1, 1, 0) is t itself,
+("theta", c, m, 0) is theta(c t^m), ("u", c, m, 0) the logarithmic
+derivative u(c t^m) = theta_dot/theta, ("wp", c, m, k) the k-th Euler
+derivative of the normalized Weierstrass function wp(ln(c t^m)), and
+("wpconst", 1, 0, 0) and ("tp1", 1, 0, 0) the q-dependent constants
+c(q) of wp and theta'(1).  A monomial is a tuple of (generator, nonzero
+integer power) pairs sorted by their text, so products are taken in one
+fixed order whatever the interpreter's string hash seed.  An expression
+is a dict {monomial: coefficient}, like monomials merged and zero
+coefficients dropped; coefficients are numbers, or constant matrices in
+elliptic_quantum.  D acts by the product rule over the generators of a
+monomial, with
 
-    D theta(c t^m) = m u(c t^m) theta(c t^m),
-    D u(c t^m)     = m (wp_const - wp(ln c t^m)),
-    D wp^(k)       = m wp^(k+1).
+    D t = t,   D theta(c t^m) = m u(c t^m) theta(c t^m),
+    D u(c t^m) = m (wp_const - wp(ln c t^m)),   D wp^(k) = m wp^(k+1).
 
-Expressions are evaluated against a ThetaContext at a numeric point.
+Expressions are evaluated against a ThetaContext at a numeric point, with
+one context call per distinct generator.
 """
 
+import math
 import numbers
+import operator
+
+import numpy as np
+
+_T = ("t", 1 + 0j, 1, 0)
+
+
+def _mono_mul(a, b):
+    """Product of two monomials: the powers of shared generators add."""
+    powers = dict(a)
+    for g, p in b:
+        powers[g] = powers.get(g, 0) + p
+    return tuple(sorted(((g, p) for g, p in powers.items() if p), key=str))
+
+
+def _accumulate(terms, pairs):
+    """Add (monomial, coefficient) pairs into the dict terms, dropping
+    every monomial whose coefficient ends up zero."""
+    for mono, c in pairs:
+        if mono in terms:
+            c = terms[mono] + c
+        if np.any(c):
+            terms[mono] = c
+        else:
+            terms.pop(mono, None)
+    return terms
+
+
+def _generator_euler(g):
+    """D g as (monomial, coefficient) pairs; the factors of a monomial
+    need not be sorted here."""
+    kind, c, m, order = g
+    if m == 0:
+        return ()
+    if kind == "t":
+        return [(((g, 1),), m)]
+    if kind == "theta":
+        return [(((("u", c, m, 0), 1), (g, 1)), m)]
+    if kind == "u":
+        return [(((("wpconst", 1 + 0j, 0, 0), 1),), m),
+                (((("wp", c, m, 0), 1),), -m)]
+    return [(((("wp", c, m, order + 1), 1),), m)]
+
+
+def _generator_value(g, ctx, t):
+    kind, c, m, order = g
+    if kind == "wpconst":
+        return ctx.wp_const()
+    if kind == "tp1":
+        return ctx.theta_prime_one()
+    arg = c * t ** m
+    if kind == "t":
+        return arg
+    if kind == "theta":
+        return ctx.theta(arg)
+    if kind == "u":
+        return ctx.theta_ratio(arg)
+    return ctx.wp(arg) if order == 0 else ctx.wp_deriv(arg, order)
 
 
 def _wrap(v):
     if isinstance(v, ThetaExpr):
         return v
     if isinstance(v, numbers.Number):
-        return ThetaExpr("const", value=complex(v))
+        return ThetaExpr.const(v)
     raise TypeError("cannot interpret %r as a theta expression" % (v,))
 
 
 class ThetaExpr:
-    """Node of a theta-expression tree.
+    """Sparse polynomial in theta generators, stored as terms =
+    {monomial: coefficient} (see the module docstring).  Sums and
+    products merge like monomials; division is only by a single-term
+    expression, which is a Laurent monomial."""
 
-    kind is one of "const", "monomial", "theta", "u", "wp", "wpconst",
-    "tp1", "add", "mul", "div".  Generators carry a constant prefactor c
-    and an exponent m for the argument c*t^m; "wp" additionally carries
-    the Euler-derivative order.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("kind", "value", "c", "m", "order", "args")
-
-    def __init__(self, kind, value=0.0, c=1.0, m=1, order=0, args=()):
-        self.kind = kind
-        self.value = complex(value)
-        self.c = complex(c)
-        self.m = int(m)
-        self.order = int(order)
-        self.args = args
+    def __init__(self, terms=None):
+        self.terms = terms or {}
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(v):
-        return ThetaExpr("const", value=v)
+        return ThetaExpr({(): complex(v)} if v else {})
+
+    @staticmethod
+    def _generator(kind, c=1.0, m=0, order=0):
+        return ThetaExpr({(((kind, complex(c), int(m), int(order)), 1),): 1.0})
 
     @staticmethod
     def monomial(c=1.0, m=1):
-        return ThetaExpr("monomial", c=c, m=m)
+        """c t^m."""
+        return ThetaExpr.const(c) * ThetaExpr({((_T, m),) if m else (): 1.0})
 
     @staticmethod
     def theta(c=1.0, m=1):
-        return ThetaExpr("theta", c=c, m=m)
+        return ThetaExpr._generator("theta", c, m)
 
     @staticmethod
     def u(c=1.0, m=1):
-        return ThetaExpr("u", c=c, m=m)
+        return ThetaExpr._generator("u", c, m)
 
     @staticmethod
     def wp(c=1.0, m=1, order=0):
-        return ThetaExpr("wp", c=c, m=m, order=order)
+        return ThetaExpr._generator("wp", c, m, order)
 
     @staticmethod
     def wp_const():
-        return ThetaExpr("wpconst")
+        return ThetaExpr._generator("wpconst")
 
     @staticmethod
     def theta_prime_one():
-        return ThetaExpr("tp1")
+        return ThetaExpr._generator("tp1")
 
     # -- algebra -------------------------------------------------------
     def __add__(self, other):
-        return ThetaExpr("add", args=(self, _wrap(other)))
+        return type(self)(_accumulate(dict(self.terms),
+                                      _wrap(other).terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ThetaExpr("mul", args=(_wrap(-1.0), self))
+        return type(self)({mono: -c for mono, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_wrap(other))
@@ -87,69 +152,50 @@ class ThetaExpr:
     def __rsub__(self, other):
         return _wrap(other) + (-self)
 
+    def _product(self, other, mul):
+        """Product of two expressions, the coefficients multiplied by mul."""
+        other = _wrap(other)
+        return type(self)(_accumulate({}, (
+            (_mono_mul(ma, mb), mul(ca, cb))
+            for ma, ca in self.terms.items()
+            for mb, cb in other.terms.items())))
+
     def __mul__(self, other):
-        return ThetaExpr("mul", args=(self, _wrap(other)))
+        return self._product(other, operator.mul)
 
     __rmul__ = __mul__
 
+    def _reciprocal(self):
+        if len(self.terms) != 1:
+            raise ValueError("can only divide by a single-term expression")
+        (mono, c), = self.terms.items()
+        return ThetaExpr({tuple((g, -p) for g, p in mono): 1.0 / c})
+
     def __truediv__(self, other):
-        return ThetaExpr("div", args=(self, _wrap(other)))
+        return self * _wrap(other)._reciprocal()
 
     def __rtruediv__(self, other):
-        return ThetaExpr("div", args=(_wrap(other), self))
+        return _wrap(other) * self._reciprocal()
 
     # -- Euler derivative ----------------------------------------------
     def euler(self):
-        """Derivative t d/dt as a new expression."""
-        k = self.kind
-        if k in ("const", "wpconst", "tp1"):
-            return ThetaExpr.const(0.0)
-        if k == "monomial":
-            return ThetaExpr("monomial", c=self.m * self.c, m=self.m)
-        if k == "theta":
-            return self.m * ThetaExpr.u(self.c, self.m) * self
-        if k == "u":
-            return self.m * (ThetaExpr.wp_const()
-                             - ThetaExpr.wp(self.c, self.m))
-        if k == "wp":
-            return self.m * ThetaExpr.wp(self.c, self.m, self.order + 1)
-        if k == "add":
-            return self.args[0].euler() + self.args[1].euler()
-        if k == "mul":
-            a, b = self.args
-            return a.euler() * b + a * b.euler()
-        if k == "div":
-            a, b = self.args
-            return (a.euler() * b - a * b.euler()) / (b * b)
-        raise ValueError("unknown node kind %r" % k)
+        """Derivative t d/dt as a new expression: the product rule over
+        the generators of each monomial."""
+        return type(self)(_accumulate({}, (
+            (_mono_mul(mono, dmono + ((g, -1),)), c * (p * dc))
+            for mono, c in self.terms.items()
+            for g, p in mono
+            for dmono, dc in _generator_euler(g))))
 
     # -- evaluation ----------------------------------------------------
     def __call__(self, ctx, t):
-        k = self.kind
-        if k == "const":
-            return self.value
-        if k == "monomial":
-            return self.c * t ** self.m
-        if k == "theta":
-            return ctx.theta(self.c * t ** self.m)
-        if k == "u":
-            return ctx.theta_ratio(self.c * t ** self.m)
-        if k == "wp":
-            arg = self.c * t ** self.m
-            if self.order == 0:
-                return ctx.wp(arg)
-            return ctx.wp_deriv(arg, self.order)
-        if k == "wpconst":
-            return ctx.wp_const()
-        if k == "tp1":
-            return ctx.theta_prime_one()
-        if k == "add":
-            return self.args[0](ctx, t) + self.args[1](ctx, t)
-        if k == "mul":
-            return self.args[0](ctx, t) * self.args[1](ctx, t)
-        if k == "div":
-            return self.args[0](ctx, t) / self.args[1](ctx, t)
-        raise ValueError("unknown node kind %r" % k)
+        """Value at t, with one context call per distinct generator."""
+        gens = dict.fromkeys(g for mono in self.terms for g, _ in mono)
+        vals = {g: _generator_value(g, ctx, t) for g in gens}
+        total = 0
+        for mono, c in self.terms.items():
+            total = total + c * math.prod(vals[g] ** p for g, p in mono)
+        return total
 
 
 def kernel_expr(c_t=1.0, m_t=1, x=1.0):

@@ -137,6 +137,34 @@ class TestRuns:
             "gaudin_commutators_exact"]
         assert (row["residual"], row["status"]) == ("n/a", "n/a")
 
+    def test_exact_rows_fail_on_any_nonzero_residue(self, tmp_path,
+                                                     monkeypatch):
+        # 10^-400 rounds to 0.0 as a float, so only an exact gate sees it
+        from fractions import Fraction
+        from hitchin import rational_quantum as rq
+        tiny = Fraction(1, 10 ** 400)
+        residues, s_polys = rq.gaudin_residues_exact, rq.s_polynomials
+
+        def skewed_residues(weights, sites):
+            hams = residues(weights, sites)
+            hams[0][0, 1] += tiny
+            return hams
+
+        def skewed_s(n, p_max):
+            s = s_polys(n, p_max)
+            s[1] += tiny
+            return s
+
+        monkeypatch.setattr(rq, "gaudin_residues_exact", skewed_residues)
+        monkeypatch.setattr(rq, "s_polynomials", skewed_s)
+        code = run(["rational-quantum", "--weights", "1,1,1",
+                    "--sites", "0,1,3", "--out", str(tmp_path)])
+        assert code == 1
+        rows = read_rows(tmp_path / "rational-quantum.csv")
+        for check in ("gaudin_commutators_exact", "s_polynomial_values"):
+            assert (rows[check]["tolerance"], rows[check]["status"]) \
+                == ("0", "FAIL")
+
     def test_empty_weight_zero_subspace_is_na(self, tmp_path):
         # odd total weight: no weight-zero states, nothing to commute on
         code = run(["elliptic-quantum", "--weights", "1,1,1", "--twists", "1",

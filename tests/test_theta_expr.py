@@ -121,3 +121,54 @@ class TestKernelIdentities:
             lhs = kernel_expr(CTX.q, 1, x)(CTX, t)
             rhs = kernel_expr(1.0, 1, x)(CTX, t) / x
             assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+
+class TestCanonicalForm:
+    def test_difference_with_itself_has_no_terms(self):
+        a = kernel_expr(1.0, 2, 0.8 + 0.3j) * ThetaExpr.u(1.0, 1) \
+            + ThetaExpr.wp(1.2, 1) - 2.5
+        assert (a - a).terms == {}
+
+    def test_quotient_by_itself_is_one(self):
+        th = ThetaExpr.theta(0.9 + 0.1j, 2)
+        assert (th / th).terms == {(): 1.0}
+
+    def test_like_terms_merge(self):
+        u = ThetaExpr.u(1.0, 2)
+        assert len((u + u).terms) == 1
+        assert (u + u).terms == (2.0 * u).terms
+
+    def test_division_by_a_sum_rejected(self):
+        th = ThetaExpr.theta(1.0, 1)
+        with pytest.raises(ValueError):
+            th / (th + 1.0)
+
+    @pytest.mark.parametrize("f", [
+        ThetaExpr.theta(1.2, 1),
+        sigma_expr(1.0, 2, 0.8 + 0.3j),
+        kernel_expr(1.0, -2, 0.7 - 0.2j) * ThetaExpr.u(1.0, 2),
+    ], ids=["theta", "sigma", "kernel_u"])
+    def test_commutator_with_derivative_is_euler_termwise(self, f):
+        # [D, f] = (D f): the same monomials with the same coefficients
+        from hitchin.elliptic_quantum import EulerDiffOp, commutator
+        mat = np.array([[1.0, 2.0], [0.5, -1.0]])
+        comm = commutator(EulerDiffOp.derivative(2),
+                          EulerDiffOp.function(f, mat))
+        target = EulerDiffOp.function(f.euler(), mat)
+        assert list(comm.coeffs) == [0]
+        got, want = comm.coeffs[0].terms, target.coeffs[0].terms
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[mono], want[mono]) for mono in want)
+
+    def test_two_site_commutator_term_count(self):
+        # [H0 + Q, H_1] for two spin-1/2 sites at twist level 2: 582
+        # unmerged (expression, matrix) terms before like terms were
+        # collected
+        from hitchin.elliptic_quantum import (
+            QuantumEllipticParams, commutator, ordering_counterterm,
+            quantum_hamiltonians)
+        par = QuantumEllipticParams(CTX, 2, [1, 1],
+                                    np.array([1.0, 1.7 + 0.3j]))
+        h0, his, _, _ = quantum_hamiltonians(par)
+        comm = commutator(h0 + ordering_counterterm(par), his[0])
+        assert sum(len(cs.terms) for cs in comm.coeffs.values()) <= 100
