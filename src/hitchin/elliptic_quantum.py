@@ -139,12 +139,11 @@ def commutator(a, b):
 
 
 def _site_matrices(params):
+    """Lists e, f, h of the sl2 generators at each site, read from the
+    images cached on the representation space."""
     space = params.space
-    N = len(params.weights)
-    e = [space.generator("e", i + 1) for i in range(N)]
-    f = [space.generator("f", i + 1) for i in range(N)]
-    h = [space.generator("h", i + 1) for i in range(N)]
-    return e, f, h
+    return ([space.generator(g, i) for i in range(1, space.nsites + 1)]
+            for g in "efh")
 
 
 def reduced_momentum(params):
@@ -332,12 +331,9 @@ def check_reduced_commutativity(params, t_samples, exponents, ops=None):
     """
     ctx = params.ctx
     fam = commuting_hamiltonians(params, ops=ops)
-    proj = params.space.weight_zero_projector()
-    vecs = [col / np.linalg.norm(col) for col in proj.T
-            if np.linalg.norm(col) > 1e-12]
-    if not vecs:
+    vecs = np.eye(params.dim)[:, params.space.weight_zero()]
+    if not vecs.size:
         return None
-    vecs = np.array(vecs).T
     worst = 0.0
     scale = 0.0
     for a in range(len(fam)):

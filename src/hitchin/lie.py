@@ -81,6 +81,9 @@ def sl2_irrep(lam):
     Returns a dict with integer matrices 'e', 'f', 'h' acting on the basis
     v_0, ..., v_lam with h v_k = (lam - 2k) v_k, f v_k = (k+1) v_{k+1},
     e v_k = (lam - k + 1) v_{k-1}.  All commutation relations hold exactly.
+    'units' holds the images of the 2 x 2 matrix units E_ab: E01 -> e,
+    E10 -> f, E00 -> h, E11 -> 0, so that a traceless x acts as
+    x01 e + x10 f + x00 h.
     """
     if lam < 0 or lam != int(lam):
         raise ValueError("highest weight must be a nonnegative integer")
@@ -94,7 +97,8 @@ def sl2_irrep(lam):
         if k + 1 < d:
             f[k + 1, k] = k + 1
             e[k, k + 1] = lam - k
-    return {"e": e, "f": f, "h": h, "dim": d, "weight": lam}
+    units = np.array([[h, e], [f, np.zeros_like(h)]])
+    return {"e": e, "f": f, "h": h, "dim": d, "weight": lam, "units": units}
 
 
 def casimir_sl2(rep):
@@ -110,25 +114,38 @@ def casimir_sl2(rep):
 class TensorRepSpace:
     """Tensor product of representations with site-operator embedding.
 
-    Constructed either from a list of sl2 highest weights, or (via the
-    `defining` classmethod) as N copies of the defining representation
-    of gl_n.  Sites are numbered starting from 1.
+    One site per entry of weights: an sl2 highest weight, or a
+    representation dict with 'dim' and 'units', the images of the n x n
+    matrix units E_ab (see `sl2_irrep`).  All sites share one n; the
+    `defining` classmethod takes N copies of the defining representation
+    of gl_n.  Sites are numbered from 1.  images[i - 1, a, b] is E_ab
+    embedded at site i, built once per space.
     """
 
     def __init__(self, weights):
-        self.reps = [sl2_irrep(w) for w in weights]
+        self.reps = [w if isinstance(w, dict) else sl2_irrep(w)
+                     for w in weights]
+        sizes = {r["units"].shape[0] for r in self.reps} or {2}
+        if len(sizes) > 1:
+            raise ValueError("all sites must share one algebra")
+        self.n = n = sizes.pop()
         self.site_dims = [r["dim"] for r in self.reps]
         self.dim = int(np.prod(self.site_dims))
         self.nsites = len(self.site_dims)
+        self.images = np.zeros((self.nsites, n, n, self.dim, self.dim),
+                               dtype=complex)
+        for i, rep in enumerate(self.reps, start=1):
+            for a, b in np.ndindex(n, n):
+                self.images[i - 1, a, b] = self.site_operator(
+                    rep["units"][a, b], i)
+        self.images.flags.writeable = False
 
     @classmethod
     def defining(cls, n, nsites):
-        obj = cls.__new__(cls)
-        obj.reps = None
-        obj.site_dims = [n] * nsites
-        obj.dim = n ** nsites
-        obj.nsites = nsites
-        return obj
+        """N copies of the defining representation of gl_n, on which each
+        matrix unit E_ab acts as itself."""
+        units = np.eye(n * n, dtype=np.int64).reshape(n, n, n, n)
+        return cls([{"dim": n, "units": units}] * nsites)
 
     def site_operator(self, x, i):
         """Embed the matrix x at site i (1-based): 1 x ... x X x ... x 1."""
@@ -144,9 +161,12 @@ class TensorRepSpace:
 
     def generator(self, name, i):
         """Site operator for one of the sl2 generators 'e', 'f', 'h'."""
-        if self.reps is None:
+        if not 1 <= i <= self.nsites:
+            raise ValueError("site index out of range")
+        if "h" not in self.reps[i - 1]:
             raise ValueError("no sl2 structure on a defining-rep space")
-        return self.site_operator(self.reps[i - 1][name].astype(float), i)
+        a, b = {"e": (0, 1), "f": (1, 0), "h": (0, 0)}[name]
+        return self.images[i - 1, a, b]
 
     def total(self, name):
         """Sum over all sites of one sl2 generator."""
@@ -155,11 +175,10 @@ class TensorRepSpace:
             out += self.generator(name, i)
         return out
 
+    def weight_zero(self):
+        """Mask of the basis states on which the total h vanishes."""
+        return np.diag(self.total("h")).real == 0
+
     def weight_zero_projector(self):
         """Orthogonal projector onto the kernel of the total h."""
-        htot = np.real(np.diag(self.total("h"))).round().astype(int)
-        proj = np.zeros((self.dim, self.dim))
-        for k, w in enumerate(htot):
-            if w == 0:
-                proj[k, k] = 1.0
-        return proj
+        return np.diag(self.weight_zero().astype(float))

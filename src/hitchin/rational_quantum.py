@@ -32,25 +32,19 @@ class GaudinSystem:
         self.space = space
         self.sites = sites
         if algebra is None:
-            n = 2 if space.reps is not None else space.site_dims[0]
-            algebra = MatrixAlgebra(n, "sl")
+            algebra = MatrixAlgebra(space.n, "sl")
         self.algebra = algebra
-        # the sl2 image is linear in x: embed e, f, h at each site once
-        self._generators = None if space.reps is None else [
-            [space.site_operator(rep[g], i) for g in ("e", "f", "h")]
-            for i, rep in enumerate(space.reps, start=1)]
 
     def rep_embed(self, x, i):
         """Site operator of the representation image of the algebra element x."""
+        space = self.space
         x = np.asarray(x, dtype=complex)
-        if self.space.reps is None:
-            return self.space.site_operator(x, i)
-        if x.shape != (2, 2):
-            raise ValueError("sl2 algebra elements must be 2x2")
-        if not 1 <= i <= self.space.nsites:
+        if x.shape != (space.n, space.n):
+            raise ValueError("algebra element shape does not match site")
+        if not 1 <= i <= space.nsites:
             raise ValueError("site index out of range")
-        e, f, h = self._generators[i - 1]
-        return x[0, 1] * e + x[1, 0] * f + x[0, 0] * h
+        units = space.images[i - 1].reshape(space.n ** 2, space.dim ** 2)
+        return (x.ravel() @ units).reshape(space.dim, space.dim)
 
     def current(self, x, u, order=1):
         """x(u) = sum_i x^(i)/(u-z_i)^order (order > 1 for derivatives)."""
@@ -222,7 +216,8 @@ class OperatorPencil:
 
     coeffs maps the multi-indices of the extraction plan (a_1..a_N),
     sum a_i = l - 1, to operators; se maps the same keys to Monte Carlo
-    standard-error estimates.
+    standard-error estimates; nsamples is the number of Haar samples
+    drawn (0 with a quadrature).
     """
 
     def __init__(self, degree, plan, coeffs, se, nsamples):
@@ -242,7 +237,9 @@ def haar_average_power(system, H, l, zetas, sampler, nsamples, batches=10):
 
     Returns (means, ses): per zeta the averaged operator and a Frobenius
     standard error from batch means.  With a quadrature sampler all nodes
-    are used with their weights and the errors are zero.
+    are used with their weights, nsamples and batches are ignored and the
+    errors are zero.  Otherwise nsamples // batches samples are drawn per
+    batch, which needs batches >= 2 and nsamples >= batches.
     """
     dim = system.space.dim
 
@@ -260,7 +257,10 @@ def haar_average_power(system, H, l, zetas, sampler, nsamples, batches=10):
             means.append(total)
         return means, [0.0 for _ in zetas]
 
-    per_batch = max(nsamples // batches, 1)
+    if batches < 2 or nsamples < batches:
+        raise ValueError("need batches >= 2 and nsamples >= batches, got "
+                         "%d and %d" % (batches, nsamples))
+    per_batch = nsamples // batches
     batch_means = [[] for _ in zetas]
     for _ in range(batches):
         sums = [np.zeros((dim, dim), dtype=complex) for _ in zetas]
@@ -297,7 +297,8 @@ def higher_gaudin(system, H, l, sampler, nsamples=10000, batches=10):
     se = {a: float(np.sqrt(sum(abs(w) ** 2 * s ** 2
                                for w, s in zip(row, ses))))
           for row, a in zip(plan.weights, plan.keys)}
-    return OperatorPencil(l, plan, coeffs, se, nsamples)
+    drawn = 0 if hasattr(sampler, "nodes") else nsamples // batches * batches
+    return OperatorPencil(l, plan, coeffs, se, drawn)
 
 
 def commutator_norm(a, b):
@@ -313,43 +314,24 @@ def commutator_norm(a, b):
 # exact-arithmetic path for commutator checks at rational sites
 
 
-def _frac_mat(int_mat, scale=1):
-    return np.array([[Fraction(int(v), scale) for v in row]
-                     for row in int_mat], dtype=object)
-
-
 def gaudin_residues_exact(weights, sites):
     """H_{2,i} over exact rationals for sl2 weight data at rational sites.
 
-    sites must be Fractions (or ints); returns object-dtype matrices.
-    Uses 2 Omega_ij = h (x) h + 2 e (x) f + 2 f (x) e so that all entries
-    stay rational.
+    sites must be Fractions (or ints); returns object-dtype matrices of
+    Fractions.  2 Omega_ij = h_i h_j + 2 e_i f_j + 2 f_i e_j is formed in
+    integer arithmetic from the site images of e, f, h; only the division
+    by z_i - z_j leaves the integers.
     """
     space = TensorRepSpace(weights)
     sites = [Fraction(z) for z in sites]
-    N = len(sites)
-    dim = space.dim
-
-    def site_op(mat, i):
-        out = np.array([[Fraction(1)]], dtype=object)
-        for j, rep in enumerate(space.reps, start=1):
-            blk = _frac_mat(mat if j == i else np.eye(rep["dim"], dtype=int))
-            out = np.kron(out, blk)
-        return out
-
-    ops = []
-    for i, rep in enumerate(space.reps, start=1):
-        ops.append({name: site_op(rep[name], i) for name in ("e", "f", "h")})
-
+    e, f, h = ([space.generator(g, i).real.astype(np.int64)
+                for i in range(1, space.nsites + 1)] for g in "efh")
     hams = []
-    for i in range(N):
-        h = np.full((dim, dim), Fraction(0), dtype=object)
-        for j in range(N):
-            if j == i:
-                continue
-            two_omega = (ops[i]["h"] @ ops[j]["h"]
-                         + 2 * ops[i]["e"] @ ops[j]["f"]
-                         + 2 * ops[i]["f"] @ ops[j]["e"])
-            h = h + two_omega / (sites[i] - sites[j])
-        hams.append(h)
+    for i, si in enumerate(sites):
+        ham = np.full((space.dim, space.dim), Fraction(0), dtype=object)
+        for j, sj in enumerate(sites):
+            if j != i:
+                two_omega = h[i] @ h[j] + 2 * (e[i] @ f[j] + f[i] @ e[j])
+                ham = ham + two_omega.astype(object) / (si - sj)
+        hams.append(ham)
     return hams

@@ -102,3 +102,50 @@ def test_defining_space():
     op = space.site_operator(x, 2)
     want = np.kron(np.kron(np.eye(2), x), np.eye(2))
     assert np.allclose(op, want)
+
+
+@pytest.mark.parametrize("space", [TensorRepSpace([1, 2, 1]),
+                                   TensorRepSpace.defining(3, 2)],
+                         ids=["sl2", "defining"])
+def test_images_are_site_operators_of_units(space):
+    assert space.images.shape == (space.nsites, space.n, space.n,
+                                  space.dim, space.dim)
+    for i, rep in enumerate(space.reps, start=1):
+        for a in range(space.n):
+            for b in range(space.n):
+                want = space.site_operator(rep["units"][a, b], i)
+                assert np.array_equal(space.images[i - 1, a, b], want)
+
+
+def test_sl2_units_and_generators():
+    space = TensorRepSpace([1, 2, 1])
+    for i, rep in enumerate(space.reps, start=1):
+        for g, unit in (("e", (0, 1)), ("f", (1, 0)), ("h", (0, 0))):
+            assert np.array_equal(rep["units"][unit], rep[g])
+            want = space.site_operator(rep[g].astype(float), i)
+            assert np.array_equal(space.generator(g, i), want)
+        assert not rep["units"][1, 1].any()
+    with pytest.raises(ValueError):
+        space.generator("h", 4)
+    with pytest.raises(ValueError):
+        TensorRepSpace.defining(2, 2).generator("h", 1)
+
+
+def test_images_are_read_only():
+    space = TensorRepSpace([1, 1])
+    with pytest.raises(ValueError):
+        space.generator("e", 1)[0, 1] = 5.0
+
+
+def test_mixed_algebras_rejected():
+    with pytest.raises(ValueError):
+        TensorRepSpace([1, TensorRepSpace.defining(3, 1).reps[0]])
+
+
+@pytest.mark.parametrize("weights", [[1], [2], [1, 1], [1, 2, 1], [1, 1, 1]])
+def test_weight_zero_mask(weights):
+    space = TensorRepSpace(weights)
+    total = np.zeros(1, dtype=int)
+    for w in weights:
+        total = np.add.outer(total, w - 2 * np.arange(w + 1)).ravel()
+    assert np.array_equal(space.weight_zero(), total == 0)

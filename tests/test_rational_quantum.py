@@ -66,6 +66,17 @@ def test_quadratic_commutativity(weights):
             assert rq.commutator_norm(a, b) < 1e-12 * scale ** 2
 
 
+def test_exact_residues_match_float():
+    weights = [1, 2, 1]
+    sites = [Fraction(-3, 2), Fraction(1, 3), Fraction(4)]
+    exact = rq.gaudin_residues_exact(weights, sites)
+    hams, _ = rq.gaudin_residues(make_system(weights, [float(s) for s in sites]))
+    for ex, h in zip(exact, hams):
+        assert all(type(v) is Fraction for v in ex.flat)
+        assert np.abs(ex.astype(complex) - h).max() < 1e-12
+    assert any(v != 0 for v in exact[0].flat)
+
+
 def test_exact_commutativity():
     hams = rq.gaudin_residues_exact([1, 1, 1],
                                     [Fraction(0), Fraction(1), Fraction(1, 3)])
@@ -94,6 +105,39 @@ def test_quadratic_pencil_matches_residues():
     recon = sum(h / (zeta - z) for h, z in zip(hams, sys3.sites))
     recon += sum(c / (zeta - z) ** 2 for c, z in zip(cas, sys3.sites))
     assert np.linalg.norm(direct - recon) < 1e-12
+
+
+def _kron_at(space, x, i):
+    """x at site i (1-based) by an explicit Kronecker chain."""
+    out = np.eye(1)
+    for j, d in enumerate(space.site_dims, start=1):
+        out = np.kron(out, x if j == i else np.eye(d))
+    return out
+
+
+@pytest.mark.parametrize("space", [TensorRepSpace([1, 2, 1]),
+                                   TensorRepSpace.defining(3, 2)],
+                         ids=["sl2", "defining"])
+def test_rep_embed_matches_kron(space):
+    system = rq.GaudinSystem(space, list(range(space.nsites)))
+    rng = np.random.default_rng(4)
+    n = space.n
+    for i, rep in enumerate(space.reps, start=1):
+        for _ in range(20):
+            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            if "h" in rep:
+                want = (x[0, 1] * _kron_at(space, rep["e"], i)
+                        + x[1, 0] * _kron_at(space, rep["f"], i)
+                        + x[0, 0] * _kron_at(space, rep["h"], i))
+            else:
+                want = _kron_at(space, x, i)
+            assert np.array_equal(system.rep_embed(x, i), want)
+    with pytest.raises(ValueError):
+        system.rep_embed(np.eye(n + 1), 1)
+    with pytest.raises(ValueError):
+        system.rep_embed(np.eye(n), 0)
+    with pytest.raises(ValueError):
+        system.rep_embed(np.eye(n), space.nsites + 1)
 
 
 def test_ffr_quadratic_spec():
@@ -269,3 +313,31 @@ def test_higher_gaudin_reference_values(l):
     assert sorted(pencil.coeffs) == sorted(HIGHER_GAUDIN_REFERENCE[l])
     for a, ref in HIGHER_GAUDIN_REFERENCE[l].items():
         assert abs(np.trace(probe @ pencil.coeffs[a]) - ref) < 1e-13
+
+
+def test_higher_gaudin_l3_vanishes_for_sl2():
+    # sl2 has no cubic invariant, so the exact l = 3 pencil is zero
+    sys3 = make_system([1, 1, 1], [0.0, 1.0, -1.0])
+    pencil = rq.higher_gaudin(sys3, rq.eigen_h(2), 3, rq.SU2Quadrature(8, 8))
+    assert pencil.nsamples == 0
+    for op in pencil.coeffs.values():
+        assert np.linalg.norm(op) < 1e-12
+
+
+@pytest.mark.parametrize("nsamples,batches", [(100, 1), (3, 10), (0, 10)])
+def test_haar_average_rejects_bad_batches(nsamples, batches):
+    sys2 = make_system([1, 1], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        rq.haar_average_power(sys2, rq.eigen_h(2), 2, [2.0],
+                              rq.HaarSampler(2, seed=0), nsamples, batches)
+
+
+def test_pencil_records_samples_drawn():
+    sys2 = make_system([1, 1], [0.0, 1.0])
+    sampler = rq.HaarSampler(2, seed=0)
+    draws = []
+    sample = sampler.sample
+    sampler.sample = lambda: draws.append(1) or sample()
+    pencil = rq.higher_gaudin(sys2, rq.eigen_h(2), 2, sampler,
+                              nsamples=25, batches=4)
+    assert pencil.nsamples == len(draws) == 24
