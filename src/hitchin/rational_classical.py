@@ -85,12 +85,17 @@ class RationalPhasePoint:
 
 
 def lax_rational(point, z):
-    """The Lax matrix sum_i eta[i] / (z - z_i)."""
+    """The Lax matrix sum_i eta[i] / (z - z_i).
+
+    z may be an array of nodes; the result is then the stack of Lax
+    matrices, of shape z.shape + (n, n).
+    """
+    z = np.asarray(z)
     scale = max(1.0, max(abs(s) for s in point.sites))
-    out = np.zeros((point.n, point.n), dtype=complex)
+    out = np.zeros(z.shape + (point.n, point.n), dtype=complex)
     for m, zi in zip(point.eta, point.sites):
-        dz = z - zi
-        if abs(dz) < 1e-12 * scale:
+        dz = (z - zi)[..., None, None]
+        if np.any(np.abs(dz) < 1e-12 * scale):
             raise PoleError("evaluation at marked point %r" % (zi,))
         out += m / dz
     return out
@@ -111,8 +116,8 @@ def _shared_plan(sites, d):
 
 
 def _power_traces(point, d, nodes):
-    return np.array([np.trace(np.linalg.matrix_power(lax_rational(point, z), d))
-                     for z in nodes])
+    powers = np.linalg.matrix_power(lax_rational(point, nodes), d)
+    return np.trace(powers, axis1=-2, axis2=-1)
 
 
 class HitchinCoefficients:
@@ -178,14 +183,14 @@ class HitchinObservable:
         return self.value(point)
 
     def gradients(self, point):
-        """Matrix gradients wrt each eta[i] under the pairing tr(grad . delta)."""
-        grads = [np.zeros((point.n, point.n), dtype=complex)
-                 for _ in range(point.nsites)]
-        for lam, z in zip(self.row, self.nodes):
-            power = np.linalg.matrix_power(lax_rational(point, z), self.d - 1)
-            for i, zi in enumerate(point.sites):
-                grads[i] += lam * self.d * power / (z - zi)
-        return grads
+        """Matrix gradients wrt each eta[i] under the pairing tr(grad . delta),
+        stacked over the sites."""
+        powers = np.linalg.matrix_power(lax_rational(point, self.nodes),
+                                        self.d - 1)
+        scaled = (self.row * self.d)[:, None, None, None] * powers[:, None]
+        dz = (self.nodes[:, None] - np.array(point.sites))[:, :, None, None]
+        # a reduction over the leading axis adds the nodes in order
+        return np.sum(scaled / dz, axis=0)
 
 
 def _numerical_gradients(f, point):

@@ -36,33 +36,47 @@ class GaudinSystem:
         self.algebra = algebra
 
     def rep_embed(self, x, i):
-        """Site operator of the representation image of the algebra element x."""
+        """Site operator of the representation image of the algebra element x.
+
+        x may be a stack of shape (..., n, n); so is the result, (..., dim, dim).
+        """
         space = self.space
         x = np.asarray(x, dtype=complex)
-        if x.shape != (space.n, space.n):
+        if x.shape[-2:] != (space.n, space.n):
             raise ValueError("algebra element shape does not match site")
         if not 1 <= i <= space.nsites:
             raise ValueError("site index out of range")
+        lead = x.shape[:-2]
         units = space.images[i - 1].reshape(space.n ** 2, space.dim ** 2)
-        return (x.ravel() @ units).reshape(space.dim, space.dim)
+        return (x.reshape(lead + (-1,)) @ units).reshape(
+            lead + (space.dim, space.dim))
 
     def current(self, x, u, order=1):
-        """x(u) = sum_i x^(i)/(u-z_i)^order (order > 1 for derivatives)."""
-        if min(abs(u - z) for z in self.sites) < 1e-12:
+        """x(u) = sum_i x^(i)/(u-z_i)^order (order > 1 for derivatives).
+
+        x may be a stack of shape (..., n, n) and u an array; the result has
+        shape x.shape[:-2] + u.shape + (dim, dim).
+        """
+        x = np.asarray(x, dtype=complex)
+        u = np.asarray(u)
+        if any(np.any(np.abs(u - z) < 1e-12) for z in self.sites):
             raise ValueError("evaluation at a marked point")
-        out = np.zeros((self.space.dim, self.space.dim), dtype=complex)
+        dim = self.space.dim
+        lead = x.shape[:-2]
+        out = np.zeros(lead + u.shape + (dim, dim), dtype=complex)
         for i, zi in enumerate(self.sites, start=1):
-            out += self.rep_embed(x, i) / (u - zi) ** order
+            image = self.rep_embed(x, i).reshape(
+                lead + (1,) * u.ndim + (dim, dim))
+            # np.power, not **: an array ** 2 is np.square, which rounds
+            # differently from the scalar power
+            out += image / np.power(u - zi, order)[..., None, None]
         return out
 
 
 def gaudin_quadratic(system, zeta):
     """The quadratic pencil sum_a e_a(zeta) e_a(zeta) over the orthonormal basis."""
-    total = np.zeros((system.space.dim, system.space.dim), dtype=complex)
-    for e in system.algebra.basis():
-        cur = system.current(e, zeta)
-        total += cur @ cur
-    return total
+    cur = system.current(np.array(system.algebra.basis()), zeta)
+    return np.sum(cur @ cur, axis=0)
 
 
 def gaudin_residues(system):
@@ -171,15 +185,20 @@ class HaarSampler:
         self.n = n
         self.rng = np.random.default_rng(seed)
 
-    def sample(self):
+    def sample(self, count=None):
+        """One matrix, or with a count a stack of that many, equal to as
+        many single draws made one after the other."""
         n = self.n
-        g = (self.rng.normal(size=(n, n))
-             + 1j * self.rng.normal(size=(n, n))) / np.sqrt(2.0)
+        x = self.rng.normal(size=(1 if count is None else count, 2, n, n))
+        g = (x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0)
         q, r = np.linalg.qr(g)
-        d = np.diag(r)
-        q = q * (d / np.abs(d))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * (d / np.abs(d))[:, None, :]
         det = np.linalg.det(q)
-        return q / det ** (1.0 / n)
+        # np.power, not **: an array ** 0.5 is np.sqrt, which rounds
+        # differently from the scalar power
+        q = q / np.power(det, 1.0 / n)[:, None, None]
+        return q[0] if count is None else q
 
 
 class SU2Quadrature:
@@ -232,6 +251,12 @@ class OperatorPencil:
                                   zeta)
 
 
+# Bytes of the stacked operators one chunk of group elements holds: the
+# few chunk-sized temporaries then add well under a megabyte to peak memory
+# however many samples are drawn.
+CHUNK_BYTES = 1 << 18
+
+
 def haar_average_power(system, H, l, zetas, sampler, nsamples, batches=10):
     """Averages of (sum_i Ad(k)H^(i)/(zeta - z_i))^l over the group.
 
@@ -239,43 +264,50 @@ def haar_average_power(system, H, l, zetas, sampler, nsamples, batches=10):
     standard error from batch means.  With a quadrature sampler all nodes
     are used with their weights, nsamples and batches are ignored and the
     errors are zero.  Otherwise nsamples // batches samples are drawn per
-    batch, which needs batches >= 2 and nsamples >= batches.
+    batch, which needs batches >= 2 and nsamples >= batches.  Group
+    elements are evaluated in stacked chunks of at most CHUNK_BYTES of
+    operators and summed in draw order.
     """
     dim = system.space.dim
+    zetas = np.asarray(zetas)
+    zero = np.zeros(zetas.shape + (dim, dim), dtype=complex)
+    # one group element contributes as many operators as zero holds
+    chunk = max(1, CHUNK_BYTES // max(zero.nbytes, 1))
 
-    def value(k, zeta):
-        kh = k @ H @ k.conj().T
-        m = system.current(kh, zeta)
-        return np.linalg.matrix_power(m, l)
+    def accumulate(total, ks, weights=None):
+        """total plus the l-th powers at every zeta, summed over the stack ks."""
+        kh = ks @ H @ ks.conj().swapaxes(-1, -2)
+        values = np.linalg.matrix_power(system.current(kh, zetas), l)
+        if weights is not None:
+            values = weights[:, None, None, None] * values
+        # a reduction over the leading axis adds in stack order, so the sum
+        # does not depend on where the chunks split
+        return np.sum(np.concatenate((total[None], values)), axis=0)
 
     if hasattr(sampler, "nodes"):
-        means = []
-        for zeta in zetas:
-            total = np.zeros((dim, dim), dtype=complex)
-            for k, w in zip(sampler.nodes, sampler.weights):
-                total += w * value(k, zeta)
-            means.append(total)
-        return means, [0.0 for _ in zetas]
+        nodes = np.asarray(sampler.nodes)
+        weights = np.asarray(sampler.weights)
+        total = zero
+        for s in range(0, len(nodes), chunk):
+            total = accumulate(total, nodes[s:s + chunk], weights[s:s + chunk])
+        return list(total), [0.0 for _ in zetas]
 
     if batches < 2 or nsamples < batches:
         raise ValueError("need batches >= 2 and nsamples >= batches, got "
                          "%d and %d" % (batches, nsamples))
     per_batch = nsamples // batches
-    batch_means = [[] for _ in zetas]
+    batch_means = []
     for _ in range(batches):
-        sums = [np.zeros((dim, dim), dtype=complex) for _ in zetas]
-        for _ in range(per_batch):
-            k = sampler.sample()
-            for idx, zeta in enumerate(zetas):
-                sums[idx] += value(k, zeta)
-        for idx in range(len(zetas)):
-            batch_means[idx].append(sums[idx] / per_batch)
-    means = [sum(b) / batches for b in batch_means]
+        sums = zero
+        for s in range(0, per_batch, chunk):
+            sums = accumulate(sums, sampler.sample(min(chunk, per_batch - s)))
+        batch_means.append(sums / per_batch)
+    means = sum(batch_means) / batches
     ses = []
     for idx in range(len(zetas)):
-        dev = [np.linalg.norm(b - means[idx]) ** 2 for b in batch_means[idx]]
+        dev = [np.linalg.norm(b[idx] - means[idx]) ** 2 for b in batch_means]
         ses.append(np.sqrt(sum(dev) / (batches * (batches - 1))))
-    return means, ses
+    return list(means), ses
 
 
 def higher_gaudin(system, H, l, sampler, nsamples=10000, batches=10):
@@ -324,6 +356,9 @@ def gaudin_residues_exact(weights, sites):
     """
     space = TensorRepSpace(weights)
     sites = [Fraction(z) for z in sites]
+    if len(sites) != space.nsites:
+        raise ValueError("need one site per weight, got %d sites for %d weights"
+                         % (len(sites), space.nsites))
     e, f, h = ([space.generator(g, i).real.astype(np.int64)
                 for i in range(1, space.nsites + 1)] for g in "efh")
     hams = []

@@ -45,6 +45,19 @@ def test_lax_pole_error():
         rc.lax_rational(pt, 0.0)
 
 
+def test_lax_stacked_equals_single_calls():
+    rng = np.random.default_rng(4)
+    pt = rc.random_nilpotent_point(3, 3, rng)
+    nodes = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    stacked = rc.lax_rational(pt, nodes)
+    single = np.array([[rc.lax_rational(pt, z) for z in row] for row in nodes])
+    assert stacked.shape == (4, 5, 3, 3)
+    assert stacked.tobytes() == single.tobytes()
+    nodes[2, 3] = pt.sites[1]
+    with pytest.raises(rc.PoleError):
+        rc.lax_rational(pt, nodes)
+
+
 def test_lax_residue():
     rng = np.random.default_rng(2)
     pt = rc.random_nilpotent_point(2, 3, rng)
@@ -157,6 +170,22 @@ def test_bracket_fd_oracle():
     analytic = rc.kk_bracket(f, g, pt)
     fd = rc.kk_bracket(lambda p: f.value(p), lambda p: g.value(p), pt)
     assert abs(analytic - fd) < 1e-6
+
+
+def test_gradients_equal_per_node_sum():
+    # the stacked gradient adds the same terms in the same order as a loop
+    # over the extraction nodes
+    rng = np.random.default_rng(15)
+    pt = rc.random_nilpotent_point(3, 3, rng)
+    coeffs = rc.HitchinCoefficients(pt, [2, 3])
+    for d, a in coeffs.keys():
+        obs = rc.HitchinObservable(pt, d, a, coeffs)
+        ref = np.zeros((pt.nsites, pt.n, pt.n), dtype=complex)
+        for lam, z in zip(obs.row, obs.nodes):
+            power = np.linalg.matrix_power(rc.lax_rational(pt, z), d - 1)
+            for i, zi in enumerate(pt.sites):
+                ref[i] += lam * d * power / (z - zi)
+        assert np.array_equal(obs.gradients(pt), ref)
 
 
 def test_flow_field_eq4_exact():

@@ -77,6 +77,13 @@ def test_exact_residues_match_float():
     assert any(v != 0 for v in exact[0].flat)
 
 
+@pytest.mark.parametrize("weights,sites", [([1, 1, 1], [0, 1]),
+                                           ([1, 1], [0, 1, 2])])
+def test_exact_residues_need_one_site_per_weight(weights, sites):
+    with pytest.raises(ValueError):
+        rq.gaudin_residues_exact(weights, sites)
+
+
 def test_exact_commutativity():
     hams = rq.gaudin_residues_exact([1, 1, 1],
                                     [Fraction(0), Fraction(1), Fraction(1, 3)])
@@ -337,7 +344,95 @@ def test_pencil_records_samples_drawn():
     sampler = rq.HaarSampler(2, seed=0)
     draws = []
     sample = sampler.sample
-    sampler.sample = lambda: draws.append(1) or sample()
+
+    def counted(count=None):
+        k = sample(count)
+        draws.append(1 if count is None else len(k))
+        return k
+
+    sampler.sample = counted
     pencil = rq.higher_gaudin(sys2, rq.eigen_h(2), 2, sampler,
                               nsamples=25, batches=4)
-    assert pencil.nsamples == len(draws) == 24
+    assert pencil.nsamples == sum(draws) == 24
+
+
+def _haar_reference(n, seed, count):
+    """count draws of the one-matrix recipe: QR of a complex Gaussian, the
+    phases of diag(R) moved into Q, the determinant divided out."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        g = (rng.normal(size=(n, n))
+             + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(g)
+        d = np.diag(r)
+        q = q * (d / np.abs(d))
+        out.append(q / np.linalg.det(q) ** (1.0 / n))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_haar_batch_equals_single_draws(n):
+    batch = rq.HaarSampler(n, seed=11).sample(25)
+    sampler = rq.HaarSampler(n, seed=11)
+    single = np.array([sampler.sample() for _ in range(25)])
+    assert batch.shape == (25, n, n)
+    assert batch.tobytes() == single.tobytes()
+    assert np.array_equal(single, _haar_reference(n, 11, 25))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("space", [TensorRepSpace([1, 2]),
+                                   TensorRepSpace.defining(3, 3)],
+                         ids=["sl2", "defining"])
+def test_current_stacked_equals_single_calls(space, order):
+    sites = [0.0, 1.0, -0.5 + 0.7j][:space.nsites]
+    system = rq.GaudinSystem(space, sites)
+    rng = np.random.default_rng(12)
+    n = space.n
+    xs = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+    us = np.array([[2.5 + 0.5j, -1.7], [3.1 - 0.8j, 0.4j]])
+    stacked = system.current(xs, us, order)
+    assert stacked.shape == (2, 3, 2, 2, space.dim, space.dim)
+    single = np.array([[[[system.current(x, u, order) for u in row]
+                         for row in us] for x in xs_row] for xs_row in xs])
+    assert stacked.tobytes() == single.tobytes()
+    # one element against the sum over sites with scalar denominators
+    x, u = xs[1, 2], complex(us[1, 0])
+    ref = np.zeros((space.dim, space.dim), dtype=complex)
+    for i, zi in enumerate(sites, start=1):
+        ref += system.rep_embed(x, i) / (u - zi) ** order
+    assert np.array_equal(single[1, 2, 1, 0], ref)
+    with pytest.raises(ValueError):
+        system.current(xs, np.array([2.0, sites[1]]), order)
+
+
+def test_haar_average_chunked_matches_single_draws():
+    sys3 = make_system([1, 1, 1], [0.0, 1.0, -1.0])
+    H = rq.eigen_h(2)
+    zetas = [2.7 + 0.6j, -3.0, 1.5j]
+    dim = sys3.space.dim
+    nsamples, batches = 400, 4
+    per_batch = nsamples // batches
+    # the stream of each batch is split over more than one chunk
+    assert rq.CHUNK_BYTES // (16 * dim ** 2 * len(zetas)) < per_batch
+    means, ses = rq.haar_average_power(sys3, H, 3, zetas,
+                                       rq.HaarSampler(2, seed=8),
+                                       nsamples, batches)
+    sampler = rq.HaarSampler(2, seed=8)
+    batch_means = []
+    for _ in range(batches):
+        sums = np.zeros((len(zetas), dim, dim), dtype=complex)
+        for _ in range(per_batch):
+            k = sampler.sample()
+            kh = k @ H @ k.conj().T
+            for idx, zeta in enumerate(zetas):
+                sums[idx] += np.linalg.matrix_power(sys3.current(kh, zeta), 3)
+        batch_means.append(sums / per_batch)
+    ref = np.mean(batch_means, axis=0)
+    for idx in range(len(zetas)):
+        assert (np.linalg.norm(means[idx] - ref[idx])
+                <= 1e-14 * np.linalg.norm(ref[idx]))
+        dev = sum(np.linalg.norm(b[idx] - ref[idx]) ** 2 for b in batch_means)
+        ref_se = np.sqrt(dev / (batches * (batches - 1)))
+        assert abs(ses[idx] - ref_se) <= 1e-10 * ref_se
