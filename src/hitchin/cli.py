@@ -306,9 +306,7 @@ def run_elliptic_classical(cfg):
             w = _unit_annulus(rng)
             if abs(z / w - 1.0) < 0.05:
                 w *= 1.2
-            scale = max(np.abs(ec.bracket_tensor(pt, z, w)).max(), 1.0)
-            rmat_worst = max(rmat_worst,
-                             ec.verify_dynamical_rmatrix(pt, z, w) / scale)
+            rmat_worst = max(rmat_worst, ec.verify_dynamical_rmatrix(pt, z, w))
             hams = ec.hamiltonians_elliptic(pt)
             hscale = max(abs(hams.h0), 1.0)
             trace_worst = max(trace_worst,

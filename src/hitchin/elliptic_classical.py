@@ -10,6 +10,12 @@ The Lax matrix is built from the theta kernel K_t(x) and the logarithmic
 derivative u = theta_dot/theta.  Its diagonal carries u(z/z_i) - 1/2, the
 unique shift for which the quadratic bracket tensor closes on an
 (r, rho)-pair; u - 1/2 is also the odd part of u under x -> 1/x.
+
+Evaluation.  The Lax matrix, the bracket tensor and the Hamiltonians
+depend on the twists and sites only through tables of kernel, u and wp
+values at t_a^-1 t_b and at ratios of sites and spectral points, each
+read through the scalar theta leaf once per point; everything else is an
+array contraction of those tables with p and eta.
 """
 
 import json
@@ -111,27 +117,53 @@ def random_elliptic_point(n, nsites, q, rng, moment=False):
             continue
 
 
-def _coeff(point, a, b, i, z):
-    """Coefficient of eta^(i)_ab in the Lax entry (a, b) at z."""
+def _pairs(n):
+    """Ordered pairs (a, b) of distinct indices below n."""
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
+def _twist_table(t, f):
+    """f(t_a^-1 t_b) at every a != b, zero on the diagonal."""
+    out = np.zeros((len(t), len(t)), dtype=complex)
+    for a, b in _pairs(len(t)):
+        out[a, b] = f(t[a] ** (-1) * t[b])
+    return out
+
+
+def _kernel_dlog(ctx, x, k=0):
+    """T -> D^k [u(T x) - u(T)], D = T d/dT; at k = 0 this is
+    T d/dT log K_T(x)."""
+    return lambda T: (ctx.theta_ratio_deriv(T * x, k)
+                      - ctx.theta_ratio_deriv(T, k))
+
+
+def _euler_t(table):
+    """Stack over c of t_c d/dt_c of a table whose last two axes are twist
+    pairs (a, b) and whose entries hold D f(T) at T = t_a^-1 t_b."""
+    n = table.shape[-1]
+    eye = np.eye(n)
+    # t_c d/dt_c (t_a^-1 t_b) = (delta_cb - delta_ca) t_a^-1 t_b
+    sign = eye[:, None, :] - eye[:, :, None]
+    return sign.reshape((n,) + (1,) * (table.ndim - 2) + (n, n)) * table
+
+
+def _lax_table(point, z):
+    """Coefficient table of the Lax matrix at z: A[i, a, b] multiplies
+    eta^(i)_ab in xbar_ab(z).  It is K(t_a^-1 t_b, z/z_i) off the diagonal
+    and (u(z/z_i) - 1/2)/theta'(1) on it."""
     ctx = point.ctx
-    if a == b:
-        return (ctx.theta_ratio(z / point.sites[i]) - 0.5) \
+    n = point.n
+    A = np.empty((point.nsites, n, n), dtype=complex)
+    for i, x in enumerate(z / point.sites):
+        A[i] = _twist_table(point.t, lambda T: ctx.kernel(T, x))
+        A[i, range(n), range(n)] = (ctx.theta_ratio(x) - 0.5) \
             / ctx.theta_prime_one()
-    return ctx.kernel(point.t[a] ** (-1) * point.t[b], z / point.sites[i])
+    return A
 
 
-def _coeff_tderiv(point, c, a, b, i, z):
-    """Euler derivative t_c d/dt_c of the coefficient above.
-
-    Uses t d/dt K_t(x) = [u(t x) - u(t)] K_t(x).
-    """
-    if a == b or (c != a and c != b):
-        return 0.0
-    ctx = point.ctx
-    T = point.t[a] ** (-1) * point.t[b]
-    x = z / point.sites[i]
-    val = (ctx.theta_ratio(T * x) - ctx.theta_ratio(T)) * ctx.kernel(T, x)
-    return -val if c == a else val
+def _lax(point, A):
+    return (np.einsum("iab,iab->ab", A, np.array(point.eta))
+            + np.diag(point.p) / point.ctx.theta_prime_one())
 
 
 def lax_elliptic(point, z):
@@ -142,16 +174,7 @@ def lax_elliptic(point, z):
     / theta'(1).  Simple poles at the sites; quasi-periodic under z -> qz
     with multiplier Ad(diag t) up to the constant diagonal charge matrix.
     """
-    n, N = point.n, point.nsites
-    for i in range(N):
-        point.ctx.check_regular(z / point.sites[i])
-    m = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            m[a, b] = sum(point.eta[i][a, b] * _coeff(point, a, b, i, z)
-                          for i in range(N))
-        m[a, a] += point.p[a] / point.ctx.theta_prime_one()
-    return m
+    return _lax(point, _lax_table(point, z))
 
 
 def r_matrix(ctx, z, w, t):
@@ -167,16 +190,11 @@ def r_matrix(ctx, z, w, t):
     n = t.shape[0]
     x = z / w
     ctx.check_regular(x)
-    tp1 = ctx.theta_prime_one()
-    uval = ctx.theta_ratio(x)
+    ab = np.arange(n * n).reshape(n, n)
     r = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            T = t[a] ** (-1) * t[b]
-            r[a * n + b, b * n + a] += ctx.kernel(T, x)
-            r[a * n + b, a * n + b] -= (uval - 0.5) / tp1
+    r[ab, ab.T] = _twist_table(t, lambda T: ctx.kernel(T, x))
+    r[ab, ab] = -(ctx.theta_ratio(x) - 0.5) / ctx.theta_prime_one() \
+        * (1.0 - np.eye(n))
     return r
 
 
@@ -190,17 +208,34 @@ def rho_matrix(ctx, z, w, t):
     n = t.shape[0]
     x = z / w
     ctx.check_regular(x)
-    tp1 = ctx.theta_prime_one()
+    ab = np.arange(n * n).reshape(n, n)
     rho = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            T = t[a] ** (-1) * t[b]
-            ctx.check_regular(T * x)
-            rho[a * n + b, b * n + a] -= ctx.kernel(T, x) / tp1 \
-                * (ctx.theta_ratio(T * x) - ctx.theta_ratio(T))
+    rho[ab, ab.T] = -_twist_table(t, lambda T: ctx.kernel(T, x)) \
+        / ctx.theta_prime_one() * _twist_table(t, _kernel_dlog(ctx, x))
     return rho
+
+
+def _lax_tderiv_table(point, z, A):
+    """Euler derivatives t_c d/dt_c of the Lax table A at z, stacked on a
+    leading axis c, from t d/dt K_t(x) = [u(t x) - u(t)] K_t(x)."""
+    return _euler_t(A * np.array([_twist_table(point.t, _kernel_dlog(
+        point.ctx, x)) for x in z / point.sites]))
+
+
+def _bracket(point, z, w, Az, Aw):
+    n = point.n
+    eta = np.array(point.eta)
+    eye = np.eye(n)
+    # {eta_ab, eta_cd} = delta_cb eta_ad - delta_ad eta_cb on each site,
+    # and {p_a / theta'(1), A(t)} = t_a dA/dt_a / theta'(1)
+    L = (np.einsum("iab,icd,cb,iad->acbd", Az, Aw, eye, eta)
+         - np.einsum("iab,icd,ad,icb->acbd", Az, Aw, eye, eta)
+         + (np.einsum("ab,ajcd,jcd->acbd", eye,
+                      _lax_tderiv_table(point, w, Aw), eta)
+            - np.einsum("cd,ciab,iab->acbd", eye,
+                        _lax_tderiv_table(point, z, Az), eta))
+         / point.ctx.theta_prime_one())
+    return L.reshape(n * n, n * n)
 
 
 def bracket_tensor(point, z, w):
@@ -211,50 +246,28 @@ def bracket_tensor(point, z, w):
     so the tensor follows from the coordinate brackets and the closed-form
     Euler derivatives of the kernel; no finite differences are involved.
     """
-    n, N = point.n, point.nsites
-    tp1 = point.ctx.theta_prime_one()
-    L = np.zeros((n * n, n * n), dtype=complex)
-    Az = [[[_coeff(point, a, b, i, z) for i in range(N)]
-           for b in range(n)] for a in range(n)]
-    Aw = [[[_coeff(point, a, b, i, w) for i in range(N)]
-           for b in range(n)] for a in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    val = 0.0 + 0.0j
-                    for i in range(N):
-                        br = 0.0 + 0.0j
-                        if c == b:
-                            br += point.eta[i][a, d]
-                        if a == d:
-                            br -= point.eta[i][c, b]
-                        val += Az[a][b][i] * Aw[c][d][i] * br
-                    if a == b:
-                        val += sum(point.eta[j][c, d]
-                                   * _coeff_tderiv(point, a, c, d, j, w)
-                                   for j in range(N)) / tp1
-                    if c == d:
-                        val -= sum(point.eta[i][a, b]
-                                   * _coeff_tderiv(point, c, a, b, i, z)
-                                   for i in range(N)) / tp1
-                    L[a * n + c, b * n + d] = val
-    return L
+    return _bracket(point, z, w, _lax_table(point, z), _lax_table(point, w))
 
 
 def verify_dynamical_rmatrix(point, z, w):
-    """Max entry norm of {xbar(z) (x), xbar(w)} - [r, xbar(z) (x) 1 +
-    1 (x) xbar(w)] - rho ((Sum eta)_diag (x) 1 - 1 (x) (Sum eta)_diag)."""
+    """Residual of {xbar(z) (x), xbar(w)} = [r, xbar(z) (x) 1 +
+    1 (x) xbar(w)] + rho ((Sum eta)_diag (x) 1 - 1 (x) (Sum eta)_diag):
+    the max entry norm of the difference over max(1, max entry norm of
+    the bracket tensor)."""
     n = point.n
-    L = bracket_tensor(point, z, w)
-    X = np.kron(lax_elliptic(point, z), np.eye(n)) \
-        + np.kron(np.eye(n), lax_elliptic(point, w))
-    St = np.diag(point.charges())
-    D = np.kron(St, np.eye(n)) - np.kron(np.eye(n), St)
+    eye = np.eye(n)
+    Az, Aw = _lax_table(point, z), _lax_table(point, w)
+    L = _bracket(point, z, w, Az, Aw)
+    # xbar(z) (x) 1 + 1 (x) xbar(w), and the diagonal C_a - C_c
+    X = (np.einsum("ab,cd->acbd", _lax(point, Az), eye)
+         + np.einsum("ab,cd->acbd", eye, _lax(point, Aw))).reshape(n * n,
+                                                                   n * n)
+    C = point.charges()
+    D = np.diag(np.subtract.outer(C, C).ravel())
     r = r_matrix(point.ctx, z, w, point.t)
     rho = rho_matrix(point.ctx, z, w, point.t)
     R = r @ X - X @ r + rho @ D
-    return float(np.abs(L - R).max())
+    return float(np.abs(L - R).max() / max(np.abs(L).max(), 1.0))
 
 
 class EllipticHamiltonians:
@@ -271,6 +284,68 @@ class EllipticHamiltonians:
         self.k = k
         self.m = m
         self.charges = charges
+
+
+def _family_tables(point):
+    """Theta-leaf tables of the family, with w_ij = z_i/z_j and, as in the
+    Lax matrix, T = t_a^-1 t_b: U[i, j] = 2 u(w_ij) - 1, B[i, j] =
+    wp(ln w_ij) - u(w_ij)^2 + u(w_ij) - 1/4, S[i, j, a, b] = sigma_T(w_ij),
+    X[i, j, a, b] = u(T w_ij) - u(T) and W[a, b] = wp(ln T); each is zero
+    where i = j or a = b."""
+    ctx = point.ctx
+    n, N = point.n, point.nsites
+    t, zs = point.t, point.sites
+    U = np.zeros((N, N), dtype=complex)
+    B = np.zeros((N, N), dtype=complex)
+    S = np.zeros((N, N, n, n), dtype=complex)
+    X = np.zeros((N, N, n, n), dtype=complex)
+    for i, j in _pairs(N):
+        w = zs[i] / zs[j]
+        uw = ctx.theta_ratio(w)
+        U[i, j] = 2.0 * uw - 1.0
+        B[i, j] = ctx.wp(w) - uw ** 2 + uw - 0.25
+        S[i, j] = _twist_table(t, lambda T: ctx.sigma(T, w))
+        X[i, j] = _twist_table(t, _kernel_dlog(ctx, w))
+    return U, B, S, X, _twist_table(t, ctx.wp)
+
+
+def _family_tderiv_tables(point, S, X):
+    """Euler derivatives t_c d/dt_c of the twist tables S, V = X S and W,
+    stacked on a leading axis c.  With D = T d/dT: D sigma_T(w) = V,
+    D V = (Du(T w) - Du(T)) S + X V and D wp(ln T) = wp_deriv(T, 1)."""
+    ctx = point.ctx
+    t, zs = point.t, point.sites
+    DX = np.zeros_like(X)
+    for i, j in _pairs(point.nsites):
+        DX[i, j] = _twist_table(t, _kernel_dlog(ctx, zs[i] / zs[j], 1))
+    V = X * S
+    return (_euler_t(V), _euler_t(DX * S + X * V),
+            _euler_t(_twist_table(t, lambda T: ctx.wp_deriv(T, 1))))
+
+
+def _twist_terms(S, V, W, eta1, eta2):
+    """The twist-dependent part of _family_form."""
+    h0 = (np.einsum("...iba,...jab,...ijab->...", eta1, eta2, V)
+          - np.einsum("...iba,...iab,...ab->...", eta1, eta2, W))
+    h = 2.0 * np.einsum("...iba,...jab,...ijab->...i", eta1, eta2, S)
+    return np.concatenate([h0[..., None], h], axis=-1)
+
+
+def _family_form(tables, p1, eta1, p2, eta2):
+    """Bilinear form whose diagonal is the family: [h0, h_1, ..., h_N] at
+    (p, eta) is _family_form(tables, p, eta, p, eta), with tables =
+    (U, B, S, V, W), V = X S.  Leading axes of the arguments broadcast."""
+    U, B, S, V, W = tables
+    d1 = np.einsum("...iaa->...ia", eta1)
+    d2 = np.einsum("...iaa->...ia", eta2)
+    P1 = p1 - 0.5 * d1.sum(axis=-2)
+    P2 = p2 - 0.5 * d2.sum(axis=-2)
+    h0 = (np.einsum("...a,...a->...", P1, P2)
+          - 0.5 * np.einsum("...ia,...ja,ij->...", d1, d2, B))
+    h = (2.0 * np.einsum("...a,...ia->...i", P1, d2)
+         + np.einsum("...ia,...ja,ij->...i", d1, d2, U))
+    return np.concatenate([h0[..., None], h], axis=-1) \
+        + _twist_terms(S, V, W, eta1, eta2)
 
 
 def hamiltonians_elliptic(point):
@@ -290,50 +365,13 @@ def hamiltonians_elliptic(point):
             + sum_{a != b} sum_{i != j} eta^(i)_ab eta^(j)_ba
               [u(t_a t_b^-1 w_ij) - u(t_a t_b^-1)] sigma_{t_a t_b^-1}(w_ij).
     """
-    ctx = point.ctx
-    n, N = point.n, point.nsites
-    eta, t, zs = point.eta, point.t, point.sites
-    u = ctx.theta_ratio
+    U, B, S, X, W = _family_tables(point)
+    eta = np.array(point.eta)
+    fam = _family_form((U, B, S, X * S, W), point.p, eta, point.p, eta)
     charges = point.charges()
-    P = point.p - 0.5 * charges
-    k = np.array([sum(eta[i][a, a] * charges[a] for a in range(n))
-                  for i in range(N)])
-    m = np.array([np.trace(eta[i] @ eta[i]) - k[i] for i in range(N)])
-    h = np.zeros(N, dtype=complex)
-    for i in range(N):
-        val = 2.0 * sum(P[a] * eta[i][a, a] for a in range(n))
-        for j in range(N):
-            if j == i:
-                continue
-            w_ij = zs[i] / zs[j]
-            for a in range(n):
-                val += eta[i][a, a] * eta[j][a, a] * (2.0 * u(w_ij) - 1.0)
-                for b in range(n):
-                    if b != a:
-                        val += 2.0 * eta[i][a, b] * eta[j][b, a] \
-                            * ctx.sigma(t[a] / t[b], w_ij)
-        h[i] = val
-    h0 = np.sum(P ** 2) + 0.0j
-    for i in range(N):
-        for j in range(N):
-            if j == i:
-                continue
-            w_ij = zs[i] / zs[j]
-            uw = u(w_ij)
-            block = ctx.wp(w_ij) - uw ** 2 + uw - 0.25
-            for a in range(n):
-                h0 -= 0.5 * eta[i][a, a] * eta[j][a, a] * block
-                for b in range(n):
-                    if b != a:
-                        T = t[a] / t[b]
-                        h0 += eta[i][a, b] * eta[j][b, a] \
-                            * (u(T * w_ij) - u(T)) * ctx.sigma(T, w_ij)
-    for a in range(n):
-        for b in range(a + 1, n):
-            wp_ab = ctx.wp(t[a] / t[b])
-            for i in range(N):
-                h0 -= 2.0 * eta[i][a, b] * eta[i][b, a] * wp_ab
-    return EllipticHamiltonians(h0, h, k, m, charges)
+    k = np.einsum("iaa,a->i", eta, charges)
+    m = np.einsum("iab,iba->i", eta, eta) - k
+    return EllipticHamiltonians(fam[0], fam[1:], k, m, charges)
 
 
 def trace_expansion(point, z, hams=None):
@@ -353,9 +391,31 @@ def trace_expansion(point, z, hams=None):
 
 
 def hamiltonian_family(point):
-    """The involutive family [h0, h_1, ..., h_N] as one vector."""
+    """The involutive family [h0, h_1, ..., h_N] as one vector; its exact
+    partials are ``hamiltonian_family.gradients``."""
     hams = hamiltonians_elliptic(point)
     return np.concatenate([[hams.h0], hams.h])
+
+
+def _family_gradients(point):
+    """Partials of hamiltonian_family in p, t and eta, shaped as
+    _gradients returns them.  The family is a quadratic form in (p, eta),
+    so the (p, eta) partials are the bilinear form against unit vectors;
+    the t partials contract the Euler-derivative tables."""
+    n, N = point.n, point.nsites
+    U, B, S, X, W = _family_tables(point)
+    tables = (U, B, S, X * S, W)
+    eta = np.array(point.eta)
+    unit = np.eye(n + N * n * n)
+    up, ueta = unit[:, :n], unit[:, n:].reshape(-1, N, n, n)
+    g = _family_form(tables, up, ueta, point.p, eta) \
+        + _family_form(tables, point.p, eta, up, ueta)
+    gt = _twist_terms(*_family_tderiv_tables(point, S, X), eta, eta) \
+        / point.t[:, None]
+    return g[:n], gt, g[n:].reshape(N, n, n, N + 1)
+
+
+hamiltonian_family.gradients = _family_gradients
 
 
 def _gradients(fun, point):
@@ -379,19 +439,26 @@ def _gradients(fun, point):
             grad[2 * n:].reshape((N, n, n) + grad.shape[1:]))
 
 
+def _observable_gradients(f, point):
+    if hasattr(f, "gradients"):
+        return f.gradients(point)
+    return _gradients(f, point)
+
+
 def poisson_bracket(f, g, point):
     """Poisson bracket {f, g} of two observables at a phase point.
 
     f and g return scalars or 1-d arrays; for arrays the result is the
     matrix {f_k, g_l}, and with ``g is f`` the gradients are taken once.
     Combines {p_a, t_a} = t_a with the Kostant-Kirillov bracket on each
-    residue matrix; partial derivatives are taken spectrally on small
-    circles, so the result is accurate to near machine precision for
-    holomorphic observables.
+    residue matrix.  An observable with a ``gradients`` method supplies its
+    own partials; otherwise they are taken spectrally on small circles, so
+    the result is accurate to near machine precision for holomorphic
+    observables.
     """
     n, N = point.n, point.nsites
-    fp, ft, feta = _gradients(f, point)
-    gp, gt, geta = (fp, ft, feta) if g is f else _gradients(g, point)
+    fp, ft, feta = _observable_gradients(f, point)
+    gp, gt, geta = (fp, ft, feta) if g is f else _observable_gradients(g, point)
     shape = fp.shape[1:] + gp.shape[1:]
     fp, ft, gp, gt = (v.reshape(n, -1) for v in (fp, ft, gp, gt))
     feta, geta = (v.reshape(N, n, n, -1) for v in (feta, geta))

@@ -25,9 +25,11 @@ y = q^i z^(+-1) at once and sums them left to right, the order of the
 scalar loop it replaced.  Each context also memoises ``theta`` and
 ``_logderiv_terms`` by argument (and order): a repeated argument returns
 the stored value before the series and before the pole guard, which it
-already passed.  The memo holds at most ``_MEMO_CAP`` entries and is
-cleared when full; a PoleError or TruncationError is never stored.  There
-is no cache shared between contexts.
+already passed.  The same memo holds every argument that passed
+``check_regular``, so a repeated guard returns at once.  The memo holds
+at most ``_MEMO_CAP`` entries and is cleared when full; a PoleError or
+TruncationError is never stored, so a guarded argument raises on every
+call.  There is no cache shared between contexts.
 """
 
 from __future__ import annotations
@@ -53,6 +55,15 @@ class TruncationError(ThetaError):
 # Entries a context's memo holds before it is cleared.  One CLI operation
 # meets a few hundred to a few thousand distinct leaf arguments.
 _MEMO_CAP = 4096
+
+
+def _horner(p, x):
+    """Polynomial p (highest degree first) at the array x: the operations
+    of ``np.polyval`` without its set-up, so bitwise the same values."""
+    y = p[0]
+    for c in p[1:]:
+        y = y * x + c
+    return y
 
 
 class ThetaContext:
@@ -112,19 +123,23 @@ class ThetaContext:
     def check_regular(self, z):
         """Raise PoleError if z is within pole_guard of the lattice q^Z."""
         z = complex(z)
+        key = (z, "regular")
+        if key in self._memo:
+            return
         if z == 0:
             raise PoleError("argument 0 is on the boundary of the annulus")
         aq = abs(self.q)
         if aq == 0.0:
             if abs(z - 1.0) < self.pole_guard:
                 raise PoleError("argument within pole guard of 1")
-            return
-        # only lattice points with modulus comparable to |z| can be close
-        k0 = math.log(abs(z)) / math.log(aq)
-        for k in range(int(math.floor(k0)) - 1, int(math.ceil(k0)) + 2):
-            w = self.q ** k
-            if abs(z - w) < self.pole_guard * abs(w):
-                raise PoleError("argument within pole guard of q^%d" % k)
+        else:
+            # only lattice points with modulus comparable to |z| can be close
+            k0 = math.log(abs(z)) / math.log(aq)
+            for k in range(int(math.floor(k0)) - 1, int(math.ceil(k0)) + 2):
+                w = self.q ** k
+                if abs(z - w) < self.pole_guard * abs(w):
+                    raise PoleError("argument within pole guard of q^%d" % k)
+        self._remember(key, True)
 
     def check_ratios(self, values):
         """Raise PoleError if the ratio of any two of the values is within
@@ -191,10 +206,11 @@ class ThetaContext:
         p = self._euler_poly(k)
         scale = abs(z) + 1.0 / abs(z) + 2.0
         qi = self._qpowers(self._nterms(scale))
-        terms = np.empty(len(qi) + 1, dtype=complex)
-        terms[0] = -np.polyval(p, 1.0 / (1.0 - z))
-        terms[1:] = (-np.polyval(p, 1.0 / (1.0 - qi * z))
-                     + (-1.0) ** k * np.polyval(p, 1.0 / (1.0 - qi / z)))
+        v = np.empty(len(qi) + 1, dtype=complex)
+        v[0] = 1.0 / (1.0 - z)
+        v[1:] = 1.0 / (1.0 - qi * z)
+        terms = -_horner(p, v)
+        terms[1:] += (-1.0) ** k * _horner(p, 1.0 / (1.0 - qi / z))
         return self._remember((z, k), np.cumsum(terms)[-1])
 
     def theta_ratio(self, z):

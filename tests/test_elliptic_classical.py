@@ -6,7 +6,9 @@ import pytest
 from hitchin.theta import ThetaContext, PoleError
 from hitchin.elliptic_classical import (
     EllipticPhasePoint,
+    _gradients,
     bracket_tensor,
+    hamiltonian_family,
     hamiltonians_elliptic,
     lax_elliptic,
     poisson_bracket,
@@ -249,6 +251,20 @@ class TestBracketTensor:
         assert np.abs(val - want).max() < 1e-8 * max(np.abs(L).max(), 1.0)
 
 
+    def test_tensor_matches_ring_brackets_n3_N3(self):
+        # every pair of Lax entries at n = N = 3 against the ring engine
+        rng = np.random.default_rng(24)
+        pt = random_elliptic_point(3, 3, 0.3, rng)
+        z, w = 1.07 - 0.31j, 0.88 + 0.42j
+        n = pt.n
+        L = bracket_tensor(pt, z, w)
+        val = poisson_bracket(lambda q: lax_elliptic(q, z).ravel(),
+                              lambda q: lax_elliptic(q, w).ravel(), pt)
+        want = L.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n,
+                                                                    n * n)
+        assert np.abs(val - want).max() < 1e-9 * max(np.abs(L).max(), 1.0)
+
+
 class TestDynamicalRMatrixIdentity:
     @pytest.mark.parametrize("q", [0.1, 0.3])
     @pytest.mark.parametrize("n", [2, 3])
@@ -264,8 +280,8 @@ class TestDynamicalRMatrixIdentity:
                 * rng.uniform(0.8, 1.3)
             if abs(z / w - 1.0) < 0.05:
                 w *= 1.2
-            scale = max(np.abs(bracket_tensor(pt, z, w)).max(), 1.0)
-            assert verify_dynamical_rmatrix(pt, z, w) < 1e-9 * scale
+            # relative to max(1, max |bracket tensor entry|)
+            assert verify_dynamical_rmatrix(pt, z, w) < 1e-9
 
     def test_moment_surface_drops_rho(self):
         # with vanishing diagonal charges the commutator alone closes
@@ -385,6 +401,39 @@ class TestHamiltonians:
             val = poisson_bracket(lambda q: hamiltonians_elliptic(q).h0,
                                   lambda q: hamiltonians_elliptic(q).h[i], pt)
             assert abs(val) / scale < 1e-8
+
+
+class TestFamilyGradients:
+    @staticmethod
+    def assert_matches_ring(pt):
+        exact = hamiltonian_family.gradients(pt)
+        ring = _gradients(hamiltonian_family, pt)
+        for got, want in zip(exact, ring):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-9 * max(np.abs(want).max(),
+                                                          1.0)
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5 + 0.1j])
+    def test_closed_form_matches_ring(self, q):
+        rng = np.random.default_rng(25)
+        for n in (2, 3):
+            for N in (1, 2, 3):
+                for moment in (False, True):
+                    self.assert_matches_ring(
+                        random_elliptic_point(n, N, q, rng, moment=moment))
+
+    def test_closed_form_at_close_twists(self):
+        self.assert_matches_ring(EllipticPhasePoint.from_json(
+            CLOSE_TWIST_POINT))
+
+    def test_family_is_homogeneous_quadratic(self):
+        rng = np.random.default_rng(26)
+        pt = random_elliptic_point(3, 2, 0.3, rng)
+        s = 0.7 - 1.3j
+        scaled = pt.copy_with(p=s * pt.p, eta=[s * m for m in pt.eta])
+        fam = hamiltonian_family(pt)
+        assert np.abs(hamiltonian_family(scaled) - s * s * fam).max() \
+            < 1e-14 * np.abs(s * s * fam).max()
 
 
 class TestDegeneration:
