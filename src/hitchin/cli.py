@@ -299,9 +299,10 @@ def run_elliptic_classical(cfg):
     trace_worst = 0.0
     done = 0
     while done < cfg["points"]:
+        # outside the retry: a PoleError here means the draws are exhausted
+        pt = ec.random_elliptic_point(n, N, cfg["q"], rng,
+                                      moment=(done % 2 == 1))
         try:
-            pt = ec.random_elliptic_point(n, N, cfg["q"], rng,
-                                          moment=(done % 2 == 1))
             z = _unit_annulus(rng)
             w = _unit_annulus(rng)
             if abs(z / w - 1.0) < 0.05:

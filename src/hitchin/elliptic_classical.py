@@ -96,10 +96,16 @@ class EllipticPhasePoint:
                    [cplx(v) for v in data["sites"]])
 
 
+# Draws a random phase point may take; a draw is rejected only when it lands
+# within the pole guard of the lattice, which continuous draws almost never do.
+MAX_DRAWS = 1000
+
+
 def random_elliptic_point(n, nsites, q, rng, moment=False):
-    """Random phase point; with moment=True the diagonal charges vanish."""
+    """Random phase point; with moment=True the diagonal charges vanish.
+    Raises PoleError after MAX_DRAWS draws that all land on the lattice."""
     ctx = ThetaContext(q)
-    while True:
+    for _ in range(MAX_DRAWS):
         t = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) \
             * rng.uniform(0.8, 1.25, n)
         sites = np.exp(1j * rng.uniform(0, 2 * np.pi, nsites)) \
@@ -114,7 +120,8 @@ def random_elliptic_point(n, nsites, q, rng, moment=False):
         try:
             return EllipticPhasePoint(ctx, p, t, eta, sites)
         except (ValueError, PoleError):
-            continue
+            pass
+    raise PoleError("no phase point off the lattice in %d draws" % MAX_DRAWS)
 
 
 def _pairs(n):

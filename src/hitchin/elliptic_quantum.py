@@ -354,9 +354,10 @@ def check_reduced_commutativity(params, t_samples, exponents, ops=None):
 def symbol_data(params, rng):
     """Random classical phase point matching the reduced quantum data:
     twists (t, 1/t), momenta (p/2, -p/2), site matrices built from
-    scalar symbols of (e, f, h)."""
-    from .elliptic_classical import EllipticPhasePoint
-    while True:
+    scalar symbols of (e, f, h).  Raises PoleError after MAX_DRAWS draws
+    that all land on the lattice."""
+    from .elliptic_classical import MAX_DRAWS, EllipticPhasePoint
+    for _ in range(MAX_DRAWS):
         t = np.exp(1j * rng.uniform(0, 2 * np.pi)) * rng.uniform(0.85, 1.2)
         p = rng.normal() + 1j * rng.normal()
         sym = rng.normal(size=(len(params.weights), 3)) \
@@ -369,6 +370,7 @@ def symbol_data(params, rng):
         except (ValueError, PoleError):
             continue
         return point, sym
+    raise PoleError("no symbol point off the lattice in %d draws" % MAX_DRAWS)
 
 
 def _scalar_hamiltonians(params, sym, p, t):

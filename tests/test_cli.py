@@ -191,3 +191,13 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_exhausted_phase_point_draws_exit_3(tmp_path, capsys, monkeypatch,
+                                            lattice_rng):
+    monkeypatch.setattr(cli, "_rng", lambda seed, task: lattice_rng)
+    code = run(["elliptic-classical", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1
+    assert "draws" in err

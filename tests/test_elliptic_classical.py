@@ -5,6 +5,7 @@ import pytest
 
 from hitchin.theta import ThetaContext, PoleError
 from hitchin.elliptic_classical import (
+    MAX_DRAWS,
     EllipticPhasePoint,
     _gradients,
     bracket_tensor,
@@ -498,3 +499,10 @@ class TestDegeneration:
 
             scale = max(abs(h0(pt)), abs(h1(pt)))
             assert abs(poisson_bracket(h0, h1, pt)) < 1e-8 * scale ** 2
+
+
+def test_random_point_gives_up_after_max_draws(lattice_rng):
+    with pytest.raises(PoleError, match="in %d draws" % MAX_DRAWS):
+        random_elliptic_point(2, 2, 0.3, lattice_rng)
+    # four uniform calls per draw
+    assert lattice_rng.draws == 4 * MAX_DRAWS

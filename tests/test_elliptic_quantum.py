@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hitchin.theta import ThetaContext
+from hitchin.elliptic_classical import MAX_DRAWS
+from hitchin.theta import PoleError, ThetaContext
 from hitchin.theta_expr import ThetaExpr
 from hitchin.elliptic_quantum import (
     EulerDiffOp,
@@ -17,6 +18,7 @@ from hitchin.elliptic_quantum import (
     ordering_counterterm,
     quantum_hamiltonians,
     reduced_momentum,
+    symbol_data,
     symbol_residual,
     trace_expansion_residual,
 )
@@ -285,3 +287,10 @@ class TestReferenceValues:
                    for t in T_SAMPLES for m in REF_EXPONENTS]
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0,
                                        err_msg=name)
+
+
+def test_symbol_data_gives_up_after_max_draws(lattice_rng):
+    with pytest.raises(PoleError, match="in %d draws" % MAX_DRAWS):
+        symbol_data(two_site_params(), lattice_rng)
+    # two uniform calls per draw
+    assert lattice_rng.draws == 2 * MAX_DRAWS

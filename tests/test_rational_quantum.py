@@ -228,22 +228,67 @@ def test_haar_sampler_moments():
     assert np.abs(acc - want).max() < 3 * se
 
 
-def test_su2_quadrature_matches_schur():
-    # deterministic Haar average of Ad(k)H (x) Ad(k)H at l=2
-    sys3 = make_system([1, 1, 1], [0.0, 1.0, -1.0])
-    H = rq.eigen_h(2)
-    quad = rq.SU2Quadrature(8, 8)
-    zeta = 2.7 + 0.6j
-    means, _ = rq.haar_average_power(sys3, H, 2, [zeta], quad, 0)
-    c = np.trace(H @ H) / 3.0
-    target = c * rq.gaudin_quadratic(sys3, zeta)
-    assert np.linalg.norm(means[0] - target) < 1e-10
+@pytest.mark.parametrize("space", [TensorRepSpace([1, 1, 1]),
+                                   TensorRepSpace.defining(3, 3)],
+                         ids=["sl2", "defining"])
+def test_exact_average_l2_closed_form(space):
+    # at l = 2 the average is tr(H^2)/(n^2 - 1) times the quadratic pencil
+    system = rq.GaudinSystem(space, [0.0, 1.0, -1.0])
+    H = rq.eigen_h(space.n)
+    zetas = [2.7 + 0.6j, 3.1 - 0.8j]
+    c = np.trace(H @ H) / (space.n ** 2 - 1)
+    means = rq.exact_average_power(system, H, 2, zetas)
+    assert means.shape == (2, space.dim, space.dim)
+    for zeta, mean in zip(zetas, means):
+        target = c * rq.gaudin_quadratic(system, zeta)
+        assert np.linalg.norm(mean - target) < 1e-12
+
+
+@pytest.mark.parametrize("space,l", [(TensorRepSpace.defining(3, 3), 2),
+                                     (TensorRepSpace.defining(3, 3), 3),
+                                     (TensorRepSpace([1, 1, 1]), 4)],
+                         ids=["defining-l2", "defining-l3", "sl2-l4"])
+def test_exact_average_matches_monte_carlo(space, l):
+    # l = 4 > n = 2 is the case where the permutation operators are
+    # dependent and the Gram matrix is singular
+    system = rq.GaudinSystem(space, [0.0, 1.0, -1.0 + 0.5j])
+    H = rq.eigen_h(space.n)
+    zetas = [2.7 + 0.6j, -3.0 + 0.4j, 2.0 + 1.5j]
+    exact = rq.exact_average_power(system, H, l, zetas)
+    means, ses = rq.haar_average_power(system, H, l, zetas,
+                                       rq.HaarSampler(space.n, seed=0), 2000)
+    for e, m, se in zip(exact, means, ses):
+        assert np.linalg.norm(m - e) < 4.0 * se
+
+
+@pytest.mark.parametrize("weights", [[1, 1, 1], [2, 1], [1, 2, 1]])
+def test_exact_l3_pencil_vanishes_for_sl2(weights):
+    system = make_system(weights, [0.0, 1.0, -1.0][:len(weights)])
+    pencil = rq.higher_gaudin(system, rq.eigen_h(2), 3)
+    for op in pencil.coeffs.values():
+        assert np.linalg.norm(op) < 1e-13
+
+
+def test_pencil_se_matches_stream_spread():
+    # the standard error of one stream estimates the scatter between
+    # independent streams
+    system = rq.GaudinSystem(TensorRepSpace.defining(3, 3), [0.0, 1.0, -1.0])
+    H = rq.eigen_h(3)
+    pencils = [rq.higher_gaudin(system, H, 3, rq.HaarSampler(3, seed=[9, k]),
+                                nsamples=500) for k in range(6)]
+    for a in pencils[0].coeffs:
+        coeffs = [p.coeffs[a] for p in pencils]
+        mean = sum(coeffs) / len(coeffs)
+        spread = np.sqrt(sum(np.linalg.norm(c - mean) ** 2 for c in coeffs)
+                         / (len(coeffs) - 1))
+        for p in pencils:
+            assert 0.5 * spread < p.se[a] < 2.0 * spread
 
 
 def test_higher_gaudin_l1_vanishes():
     sys2 = make_system([1, 1], [0.0, 1.0])
     H = rq.eigen_h(2)
-    pencil = rq.higher_gaudin(sys2, H, 1, rq.SU2Quadrature(6, 6))
+    pencil = rq.higher_gaudin(sys2, H, 1)
     for op in pencil.coeffs.values():
         assert np.linalg.norm(op) < 1e-10
 
@@ -255,13 +300,12 @@ def test_higher_gaudin_l2_proportional():
     # same simple-pole basis.
     sys3 = make_system([1, 1, 1], [0.0, 1.0, -1.0])
     H = rq.eigen_h(2)
-    quad = rq.SU2Quadrature(8, 8)
     c = np.trace(H @ H) / 3.0
     zeta = 3.1 - 0.8j
-    means, _ = rq.haar_average_power(sys3, H, 2, [zeta], quad, 0)
+    means = rq.exact_average_power(sys3, H, 2, [zeta])
     assert np.linalg.norm(means[0] - c * rq.gaudin_quadratic(sys3, zeta)) < 1e-10
 
-    pencil = rq.higher_gaudin(sys3, H, 2, quad)
+    pencil = rq.higher_gaudin(sys3, H, 2)
     nodes = pencil.plan.nodes
     keys = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     basis = np.array([[1.0 / (z - zi) for zi in sys3.sites] for z in nodes])
@@ -293,20 +337,15 @@ def test_commutator_norm_trivial():
         rq.commutator_norm(np.eye(2), np.eye(3))
 
 
-# tr(P c_a) for the probe matrix P below and the SU2Quadrature(8, 8) pencil
-# coefficients c_a, as computed before the extraction plan was shared.  At
-# l = 3 the exact pencil vanishes (sl2 has no cubic invariant), so those
-# values are rounding noise of about 1e-13.
+# tr(P c_a) for the probe matrix P below and the coefficients c_a of the
+# exact (Weingarten) pencil.  At l = 3 the pencil vanishes: sl2 has no cubic
+# invariant, and tr H = tr H^3 = 0 make every moment of the average zero.
 HIGHER_GAUDIN_REFERENCE = {
-    2: {(0, 0, 1): -7.5072263094280745 - 7.4975351404333015j,
-        (0, 1, 0): 7.507226309427858 - 5.835798192899917j,
-        (1, 0, 0): 2.0961010704922955e-13 + 13.333333333333226j},
-    3: {(0, 0, 2): -2.336568817271332e-14 - 2.0918245484141073e-14j,
-        (0, 1, 1): 6.980647293799455e-14 + 1.049832896954943e-13j,
-        (0, 2, 0): -4.871226797176123e-14 - 8.3469425797563e-14j,
-        (1, 0, 1): 4.072878645585496e-14 + 4.162307242157288e-14j,
-        (1, 1, 0): 9.888415942010898e-14 + 1.6834350696942708e-13j,
-        (2, 0, 0): -1.3709919572384798e-13 - 2.1067827266050834e-13j},
+    2: {(0, 0, 1): -7.507226309427966 - 7.497535140433344j,
+        (0, 1, 0): 7.507226309427949 - 5.835798192899974j,
+        (1, 0, 0): 7.105427357601002e-15 + 13.333333333333316j},
+    3: {(0, 0, 2): 0j, (0, 1, 1): 0j, (0, 2, 0): 0j,
+        (1, 0, 1): 0j, (1, 1, 0): 0j, (2, 0, 0): 0j},
 }
 
 
@@ -316,7 +355,7 @@ def test_higher_gaudin_reference_values(l):
     dim = sys3.space.dim
     idx = np.arange(dim * dim).reshape(dim, dim)
     probe = (idx % 7 - 3) + 1j * (idx % 5 - 2)
-    pencil = rq.higher_gaudin(sys3, rq.eigen_h(2), l, rq.SU2Quadrature(8, 8))
+    pencil = rq.higher_gaudin(sys3, rq.eigen_h(2), l)
     assert sorted(pencil.coeffs) == sorted(HIGHER_GAUDIN_REFERENCE[l])
     for a, ref in HIGHER_GAUDIN_REFERENCE[l].items():
         assert abs(np.trace(probe @ pencil.coeffs[a]) - ref) < 1e-13
@@ -325,7 +364,7 @@ def test_higher_gaudin_reference_values(l):
 def test_higher_gaudin_l3_vanishes_for_sl2():
     # sl2 has no cubic invariant, so the exact l = 3 pencil is zero
     sys3 = make_system([1, 1, 1], [0.0, 1.0, -1.0])
-    pencil = rq.higher_gaudin(sys3, rq.eigen_h(2), 3, rq.SU2Quadrature(8, 8))
+    pencil = rq.higher_gaudin(sys3, rq.eigen_h(2), 3)
     assert pencil.nsamples == 0
     for op in pencil.coeffs.values():
         assert np.linalg.norm(op) < 1e-12
