@@ -160,6 +160,16 @@ def _unit_annulus(rng, lo=0.8, hi=1.3):
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * rng.uniform(lo, hi)
 
 
+def _count_rejection(rejected):
+    """The count of draws in a row the pole guard rejected, one more than
+    rejected; PoleError once it reaches MAX_DRAWS."""
+    from .elliptic_classical import MAX_DRAWS
+    if rejected + 1 >= MAX_DRAWS:
+        raise PoleError("%d evaluation draws in a row hit the pole guard"
+                        % MAX_DRAWS)
+    return rejected + 1
+
+
 # -- subcommands -------------------------------------------------------------
 
 def run_theta_check(cfg):
@@ -176,7 +186,7 @@ def run_theta_check(cfg):
     worst = {name: 0.0 for name, _ in one_arg}
     worst.update(kernel_pair=0.0, addition=0.0, mixed_derivative=0.0,
                  cross_square=0.0)
-    count = 0
+    count = rejected = 0
     while count < cfg["points"]:
         pts = [_unit_annulus(rng) for _ in range(4)]
         try:
@@ -194,8 +204,10 @@ def run_theta_check(cfg):
                 worst["cross_square"],
                 th.cross_square_residual(ctx, pts[0], pts[1]))
         except PoleError:
+            rejected = _count_rejection(rejected)
             continue
         count += 1
+        rejected = 0
     rows = [("theta_at_one", "q=%s" % _fmt(ctx.q),
              th.theta_one_residual(ctx), cfg["tol"])]
     for name in worst:
@@ -297,7 +309,7 @@ def run_elliptic_classical(cfg):
     n, N = cfg["n"], cfg["nsites"]
     rmat_worst = 0.0
     trace_worst = 0.0
-    done = 0
+    done = rejected = 0
     while done < cfg["points"]:
         # outside the retry: a PoleError here means the draws are exhausted
         pt = ec.random_elliptic_point(n, N, cfg["q"], rng,
@@ -313,8 +325,10 @@ def run_elliptic_classical(cfg):
             trace_worst = max(trace_worst,
                               ec.trace_expansion(pt, z, hams) / hscale)
         except PoleError:
+            rejected = _count_rejection(rejected)
             continue
         done += 1
+        rejected = 0
     bracket_worst = 0.0
     pairs = np.triu_indices(N + 1, 1)
     for trial in range(3):

@@ -3,8 +3,11 @@
 Provides orthonormal bases of sl_n / gl_n with respect to the trace form
 tr(XY), finite-dimensional irreducible representations of sl2 in exact
 integer arithmetic, and tensor products of such representations with the
-usual embedding X -> 1 x ... x X x ... x 1 at a chosen site.
+usual embedding X -> 1 x ... x X x ... x 1 at a chosen site, and the
+matching action of SU(n) on the tensor product.
 """
+
+import math
 
 import numpy as np
 
@@ -101,6 +104,30 @@ def sl2_irrep(lam):
     return {"e": e, "f": f, "h": h, "dim": d, "weight": lam, "units": units}
 
 
+def _defining_units(n):
+    """Images of the n x n matrix units E_ab in the defining
+    representation of gl_n: each acts as itself."""
+    return np.eye(n * n, dtype=np.int64).reshape(n, n, n, n)
+
+
+def _sym_power(ks, w):
+    """Image of a stack of 2 x 2 matrices on the basis v_j of `sl2_irrep`.
+
+    Column j holds the coefficients of binom(w, j) (k00 x + k10 y)^(w-j)
+    (k01 x + k11 y)^j over binom(w, i) x^(w-i) y^i, i = 0..w.
+    """
+    binom = np.array([math.comb(w, j) for j in range(w + 1)], dtype=float)
+    cols = []
+    for j in range(w + 1):
+        poly = np.ones(ks.shape[:-2] + (1,), dtype=complex)
+        for col in [0] * (w - j) + [1] * j:
+            zero = np.zeros(poly.shape[:-1] + (1,), dtype=complex)
+            poly = (np.concatenate((poly * ks[..., 0, col, None], zero), -1)
+                    + np.concatenate((zero, poly * ks[..., 1, col, None]), -1))
+        cols.append(poly * (binom[j] / binom))
+    return np.stack(cols, axis=-1)
+
+
 def casimir_sl2(rep):
     """Quadratic Casimir e f + f e + h^2 / 2 of an sl2 representation.
 
@@ -144,8 +171,7 @@ class TensorRepSpace:
     def defining(cls, n, nsites):
         """N copies of the defining representation of gl_n, on which each
         matrix unit E_ab acts as itself."""
-        units = np.eye(n * n, dtype=np.int64).reshape(n, n, n, n)
-        return cls([{"dim": n, "units": units}] * nsites)
+        return cls([{"dim": n, "units": _defining_units(n)}] * nsites)
 
     def site_operator(self, x, i):
         """Embed the matrix x at site i (1-based): 1 x ... x X x ... x 1."""
@@ -157,6 +183,36 @@ class TensorRepSpace:
         out = np.eye(1, dtype=x.dtype if x.dtype == complex else complex)
         for j, d in enumerate(self.site_dims, start=1):
             out = np.kron(out, x if j == i else np.eye(d))
+        return out
+
+    def group_image(self, ks):
+        """R(k) = rho_1(k) x ... x rho_N(k) for a stack of SU(n) elements.
+
+        ks has shape (..., n, n); the result has shape (..., dim, dim).  A
+        defining site acts by k itself.  An sl2 site of weight w acts on
+        v_j = f^j v_0 / j!, which is binom(w, j) x^(w-j) y^j among the
+        degree-w polynomials in x = e_0, y = e_1 that k maps by
+        x -> k00 x + k10 y, y -> k01 x + k11 y.  Then
+        rep_embed(k X k^-1, i) = R(k) rep_embed(X, i) R(k)^-1 for traceless
+        X.  A site of any other representation raises ValueError.
+        """
+        n = self.n
+        ks = np.asarray(ks, dtype=complex)
+        if ks.shape[-2:] != (n, n):
+            raise ValueError("group elements must be %d x %d" % (n, n))
+        lead = ks.shape[:-2]
+        defining = _defining_units(n)
+        out = np.ones(lead + (1, 1), dtype=complex)
+        for i, rep in enumerate(self.reps, start=1):
+            if "weight" in rep:
+                rho = _sym_power(ks, rep["weight"])
+            elif rep["dim"] == n and np.array_equal(rep["units"], defining):
+                rho = ks
+            else:
+                raise ValueError("no group action known at site %d" % i)
+            size = out.shape[-1] * rho.shape[-1]
+            out = (out[..., :, None, :, None]
+                   * rho[..., None, :, None, :]).reshape(lead + (size, size))
         return out
 
     def generator(self, name, i):

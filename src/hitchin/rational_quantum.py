@@ -5,11 +5,13 @@ singular-vector data (ordered products of derivatives of currents), the
 s_p polynomial recursion, the companion diagonal matrix of its roots, and
 higher Gaudin operators obtained by averaging conjugates of that matrix
 over the unitary group, exactly (Weingarten calculus) or by Monte Carlo
-Haar sampling with standard errors from batch replicates.
+Haar sampling with standard errors from batch replicates.  The Monte Carlo
+path needs a diagonal traceless H, as `eigen_h` is: it moves the group
+action off the current, current(Ad(k)H) = R(k) current(H) R(k)^-1, and
+averages R(k)[:, m] R(k^-1)[m, :] once for every node and power.
 """
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -215,34 +217,60 @@ class OperatorPencil:
                                   zeta)
 
 
+def _cycle_counts(perms):
+    """Number of cycles of each permutation in a stack of shape (..., l)."""
+    l = perms.shape[-1]
+    start = np.arange(l)
+    x = low = np.broadcast_to(start, perms.shape)
+    for _ in range(l - 1):
+        x = np.take_along_axis(perms, x, axis=-1)
+        low = np.minimum(low, x)
+    # each cycle is counted at its smallest element
+    return np.sum(low == start, axis=-1)
+
+
+def _permutation_average(H, l):
+    """Haar average of (Ad(k)H)^{(x) l} over SU(n), shape (n*n,) * l.
+
+    It is sum_s c_s P_s over the permutations s of the l factors
+    (Weingarten calculus): c = G^+ b with G_st = <P_s, P_t> =
+    n^#cycles(s^-1 t) and b_s = <P_s, H^{(x) l}>, the product over the
+    cycles of s of tr H^|cycle|; the pseudoinverse covers l > n.  Entry
+    (k_1, ..., k_l), k_j = n a_j + b_j, is the coefficient of
+    E_{a_1 b_1} x ... x E_{a_l b_l}.
+    """
+    n = H.shape[0]
+    perms = np.array(list(itertools.permutations(range(l))))
+    gram = float(n) ** _cycle_counts(np.argsort(perms)[:, perms])
+    # P_s[a, b] = prod_j delta(a_j, b_s(j)) is 1 at the n^l index tuples
+    # (b_s(1), b_1, ..., b_s(l), b_l) of the layout (a_1, b_1, ..., a_l, b_l)
+    b = np.indices((n,) * l).reshape(l, -1)
+    tuples = np.stack(np.broadcast_arrays(b[perms], b), axis=2)
+    ones = np.ravel_multi_index(
+        tuple(tuples.reshape(len(perms), 2 * l, -1).swapaxes(0, 1)),
+        (n,) * 2 * l)
+    moments = np.prod(H[b[perms], b], axis=1).sum(axis=-1)
+    coeffs = np.linalg.pinv(gram, rcond=1e-10, hermitian=True) @ moments
+    avg = np.zeros(n ** (2 * l), dtype=complex)
+    for idx, c in zip(ones, coeffs):
+        avg[idx] += c
+    return avg.reshape((n * n,) * l)
+
+
 def exact_average_power(system, H, l, zetas):
     """Exact averages of (sum_i Ad(k)H^(i)/(zeta - z_i))^l over SU(n).
 
-    The average of (Ad(k)H)^{(x) l} is sum_s c_s P_s over the permutations
-    s of the l factors (Weingarten calculus): c = G^+ b with
-    G_st = <P_s, P_t> = n^#cycles(s^-1 t) and b_s = <P_s, H^{(x) l}>, the
-    product over the cycles of s of tr H^|cycle|; the pseudoinverse covers
-    l > n.  It is contracted with the currents J_ab(zeta) of the matrix
-    units, which is exact on sl2 sites too, as sum_ab X_ab J_ab is the
-    current of X there.  Per node it costs n^(2l-2) dim^3 and holds
-    n^(2l-2) dim^2 numbers: SU(3) on three defining sites at 13 nodes takes
-    0.02 s at l = 3, 0.1-0.15 s at l = 4 and 1.1-1.8 s (200 MB peak) at
-    l = 5 on a shared 2-core machine.  Returns shape (len(zetas), dim, dim).
+    The average of (Ad(k)H)^{(x) l} (`_permutation_average`, any n x n H)
+    is contracted with the currents J_ab(zeta) of the matrix units, which
+    is exact on sl2 sites too, as sum_ab X_ab J_ab is the current of X
+    there.  Per node it costs n^(2l-2) dim^3 and holds n^(2l-2) dim^2
+    numbers: SU(3) on three defining sites at 13 nodes takes 0.02 s at
+    l = 3, 0.1-0.15 s at l = 4 and 0.8-1.7 s at l = 5 (about 120 MB peak,
+    the 76 MB of that intermediate) on a shared 2-core machine.  Returns
+    shape (len(zetas), dim, dim).
     """
     n, dim = system.space.n, system.space.dim
-    H = np.asarray(H)
-    # row s of P is P_s[a, b] = prod_j delta(a_j, b_s(j)), laid out as
-    # (a_1, b_1, ..., a_l, b_l); moments[s] = sum_b prod_j H[b_s(j), b_j]
-    b = np.indices((n,) * l).reshape(l, -1)
-    P = np.zeros((math.factorial(l), n ** (2 * l)))
-    moments = []
-    for row, s in zip(P, itertools.permutations(range(l))):
-        row.reshape((n,) * 2 * l)[
-            tuple(x for j in range(l) for x in (b[s[j]], b[j]))] = 1.0
-        moments.append(np.prod(H[b[list(s)], b], axis=0).sum())
-    coeffs = np.linalg.pinv(P @ P.T, rcond=1e-10, hermitian=True) @ moments
-    # read the average as l indices k_j = n a_j + b_j
-    avg = (coeffs @ P).reshape((n * n,) * l)
+    avg = _permutation_average(np.asarray(H), l)
     # J[k, z] is the current of the matrix unit E_ab, k = n a + b
     J = system.current(np.eye(n * n).reshape(n * n, n, n), np.ravel(zetas))
     out = []
@@ -257,35 +285,46 @@ def exact_average_power(system, H, l, zetas):
     return np.array(out)
 
 
-# Bytes of the stacked operators one chunk of group elements holds: the
-# few chunk-sized temporaries then add well under a megabyte to peak memory
-# however many samples are drawn.
+# Bytes of the stacked group images R(k) one chunk of group elements
+# holds: R(k^-1) and the few other chunk-sized temporaries then add about
+# a megabyte to peak memory however many samples are drawn.
 CHUNK_BYTES = 1 << 18
 
 
 def _batch_means(system, H, l, zetas, sampler, nsamples, batches):
-    """Batch means of the l-th powers, shape (batches, zetas, dim, dim)."""
+    """Batch means of the l-th powers, shape (batches, zetas, dim, dim).
+
+    current(Ad(k)H, zeta) = R(k) current(H, zeta) R(k)^-1, with R the group
+    action on the space (`TensorRepSpace.group_image`), and for a diagonal
+    traceless H, current(H, zeta) is the diagonal matrix of D(zeta).  So a
+    batch mean is sum_m D_m(zeta)^l A_m, where A_m, the batch mean of
+    R(k)[:, m] R(k^-1)[m, :], is shared by every node.
+    """
     if batches < 2 or nsamples < batches:
         raise ValueError("need batches >= 2 and nsamples >= batches, got "
                          "%d and %d" % (batches, nsamples))
-    dim = system.space.dim
-    zetas = np.asarray(zetas)
-    zero = np.zeros(zetas.shape + (dim, dim), dtype=complex)
-    # one group element contributes as many operators as zero holds
-    chunk = max(1, CHUNK_BYTES // max(zero.nbytes, 1))
+    H = np.asarray(H, dtype=complex)
+    if (np.any(H != np.diag(np.diagonal(H)))
+            or abs(np.trace(H)) > 1e-12 * np.linalg.norm(H)):
+        raise ValueError("Monte Carlo averages need a diagonal traceless H")
+    space = system.space
+    dim = space.dim
+    powers = np.diagonal(system.current(H, np.asarray(zetas)),
+                         axis1=-2, axis2=-1) ** l
+    chunk = max(1, CHUNK_BYTES // (16 * dim ** 2))
     per_batch = nsamples // batches
-    out = np.empty((batches,) + zero.shape, dtype=complex)
+    out = np.empty((batches,) + powers.shape[:-1] + (dim, dim),
+                   dtype=complex)
     for b in range(batches):
-        sums = zero
+        sums = np.zeros((dim, dim, dim), dtype=complex)
         for s in range(0, per_batch, chunk):
             ks = sampler.sample(min(chunk, per_batch - s))
-            kh = ks @ H @ ks.conj().swapaxes(-1, -2)
-            values = np.linalg.matrix_power(system.current(kh, zetas), l)
-            # a reduction over the leading axis adds in stack order, so the
-            # sum does not depend on where the chunks split
-            sums = np.sum(np.concatenate((sums[None], values)), axis=0)
-        out[b] = sums / per_batch
-    return out
+            r = space.group_image(
+                np.concatenate((ks, ks.conj().swapaxes(-1, -2))))
+            # sums[m] += sum over the draws of R[:, m] R^-1[m, :]
+            sums += r[:len(ks)].transpose(2, 1, 0) @ r[len(ks):].swapaxes(0, 1)
+        out[b] = (powers @ sums.reshape(dim, -1)).reshape(out.shape[1:])
+    return out / per_batch
 
 
 def _standard_error(replicates, mean):
@@ -297,10 +336,13 @@ def _standard_error(replicates, mean):
 def haar_average_power(system, H, l, zetas, sampler, nsamples, batches=10):
     """Monte Carlo averages of (sum_i Ad(k)H^(i)/(zeta - z_i))^l.
 
-    Returns (means, ses): per zeta the mean of the batch means and its
-    Frobenius standard error.  nsamples // batches samples are drawn per
-    batch (batches >= 2, nsamples >= batches), in stacked chunks of at
-    most CHUNK_BYTES of operators summed in draw order.
+    H must be diagonal and traceless (ValueError otherwise).  Returns
+    (means, ses): per zeta the mean of the batch means and its Frobenius
+    standard error.  nsamples // batches samples are drawn per batch
+    (batches >= 2, nsamples >= batches), in chunks whose stacked group
+    images R(k) hold at most CHUNK_BYTES.  A batch keeps the means A_m of
+    R(k)[:, m] R(k^-1)[m, :], dim^3 numbers (0.3 MB at dim 27), and
+    contracts them with the l-th powers of the diagonal of current(H, zeta).
     """
     batch = _batch_means(system, H, l, zetas, sampler, nsamples, batches)
     means = sum(batch) / batches
@@ -315,6 +357,8 @@ def higher_gaudin(system, H, l, sampler=None, nsamples=10000, batches=10):
     batch means with one, is projected onto the partial-fraction basis
     prod_i (zeta - z_i)^{-a_i}, sum a_i = l - 1, by least squares at fixed
     circle nodes; standard errors come from the batch means' coefficients.
+    With a sampler H must be diagonal and traceless, and one batch mean of
+    the dim^3 numbers A_m (see `haar_average_power`) serves every node.
     """
     if l < 1:
         raise ValueError("need l >= 1")

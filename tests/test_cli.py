@@ -201,3 +201,27 @@ def test_exhausted_phase_point_draws_exit_3(tmp_path, capsys, monkeypatch,
     assert code == 3
     assert len(err.strip().splitlines()) == 1
     assert "draws" in err
+
+
+@pytest.mark.parametrize("command,module,residual", [
+    ("theta-check", "hitchin.theta", "functional_equation_residual"),
+    ("elliptic-classical", "hitchin.elliptic_classical",
+     "verify_dynamical_rmatrix"),
+])
+def test_rejected_evaluation_draws_exit_3(tmp_path, capsys, monkeypatch,
+                                          command, module, residual):
+    from hitchin.elliptic_classical import MAX_DRAWS
+    from hitchin.theta import PoleError
+    calls = []
+
+    def always_on_a_pole(*args):
+        calls.append(1)
+        raise PoleError("on the lattice")
+
+    monkeypatch.setattr("%s.%s" % (module, residual), always_on_a_pole)
+    code = run([command, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(calls) == MAX_DRAWS
+    assert len(err.strip().splitlines()) == 1
+    assert "in a row" in err

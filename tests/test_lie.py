@@ -149,3 +149,53 @@ def test_weight_zero_mask(weights):
     for w in weights:
         total = np.add.outer(total, w - 2 * np.arange(w + 1)).ravel()
     assert np.array_equal(space.weight_zero(), total == 0)
+
+
+def _su(n, count, seed):
+    from hitchin.rational_quantum import HaarSampler
+    return HaarSampler(n, seed=seed).sample(count)
+
+
+@pytest.mark.parametrize("space", [TensorRepSpace([1, 2, 1]),
+                                   TensorRepSpace([3, 1]),
+                                   TensorRepSpace.defining(3, 2)],
+                         ids=["121", "31", "defining"])
+def test_group_image_is_a_homomorphism(space):
+    k1, k2 = _su(space.n, 2, 5)
+    r1, r2 = space.group_image(np.array([k1, k2]))
+    assert r1.shape == (space.dim, space.dim)
+    assert np.allclose(space.group_image(k1 @ k2), r1 @ r2,
+                       rtol=0, atol=1e-13)
+    assert np.allclose(space.group_image(np.eye(space.n)), np.eye(space.dim),
+                       rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("space", [TensorRepSpace([1, 2, 1]),
+                                   TensorRepSpace([3, 1]),
+                                   TensorRepSpace.defining(3, 2)],
+                         ids=["121", "31", "defining"])
+def test_group_image_conjugates_site_embeddings(space):
+    from hitchin.rational_quantum import GaudinSystem
+    system = GaudinSystem(space, list(range(space.nsites)))
+    rng = np.random.default_rng(3)
+    n = space.n
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x -= np.trace(x) / n * np.eye(n)
+    for k in _su(n, 3, 6):
+        r = space.group_image(k)
+        r_inv = space.group_image(k.conj().T)
+        assert np.allclose(r @ r_inv, np.eye(space.dim), rtol=0, atol=1e-13)
+        for i in range(1, space.nsites + 1):
+            want = system.rep_embed(k @ x @ k.conj().T, i)
+            got = r @ system.rep_embed(x, i) @ r_inv
+            assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
+
+
+def test_group_image_rejects_unknown_representations():
+    # the dual of the defining representation, E_ab -> -E_ba
+    dual = -np.eye(4, dtype=np.int64).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3)
+    space = TensorRepSpace([1, {"dim": 2, "units": dual}])
+    with pytest.raises(ValueError, match="site 2"):
+        space.group_image(np.eye(2))
+    with pytest.raises(ValueError):
+        TensorRepSpace([1, 1]).group_image(np.eye(3))

@@ -1,5 +1,7 @@
 """Tests for quantum Gaudin operators and group-averaged higher operators."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -446,32 +448,100 @@ def test_current_stacked_equals_single_calls(space, order):
         system.current(xs, np.array([2.0, sites[1]]), order)
 
 
-def test_haar_average_chunked_matches_single_draws():
-    sys3 = make_system([1, 1, 1], [0.0, 1.0, -1.0])
-    H = rq.eigen_h(2)
-    zetas = [2.7 + 0.6j, -3.0, 1.5j]
-    dim = sys3.space.dim
-    nsamples, batches = 400, 4
+def _per_draw_batch_means(system, H, l, zetas, seed, nsamples, batches):
+    """Batch means of matrix_power(current(k H k^+, zeta), l), one draw of
+    HaarSampler(n, seed) and one node at a time."""
+    sampler = rq.HaarSampler(system.space.n, seed=seed)
+    dim = system.space.dim
     per_batch = nsamples // batches
-    # the stream of each batch is split over more than one chunk
-    assert rq.CHUNK_BYTES // (16 * dim ** 2 * len(zetas)) < per_batch
-    means, ses = rq.haar_average_power(sys3, H, 3, zetas,
-                                       rq.HaarSampler(2, seed=8),
-                                       nsamples, batches)
-    sampler = rq.HaarSampler(2, seed=8)
-    batch_means = []
+    out = []
     for _ in range(batches):
         sums = np.zeros((len(zetas), dim, dim), dtype=complex)
         for _ in range(per_batch):
             k = sampler.sample()
             kh = k @ H @ k.conj().T
             for idx, zeta in enumerate(zetas):
-                sums[idx] += np.linalg.matrix_power(sys3.current(kh, zeta), 3)
-        batch_means.append(sums / per_batch)
+                sums[idx] += np.linalg.matrix_power(system.current(kh, zeta), l)
+        out.append(sums / per_batch)
+    return out
+
+
+def _assert_matches_per_draw(system, H, l, zetas, seed, nsamples, batches,
+                             rtol):
+    means, ses = rq.haar_average_power(system, H, l, zetas,
+                                       rq.HaarSampler(system.space.n, seed=seed),
+                                       nsamples, batches)
+    batch_means = _per_draw_batch_means(system, H, l, zetas, seed, nsamples,
+                                        batches)
     ref = np.mean(batch_means, axis=0)
     for idx in range(len(zetas)):
         assert (np.linalg.norm(means[idx] - ref[idx])
-                <= 1e-14 * np.linalg.norm(ref[idx]))
+                <= rtol * np.linalg.norm(ref[idx]))
         dev = sum(np.linalg.norm(b[idx] - ref[idx]) ** 2 for b in batch_means)
         ref_se = np.sqrt(dev / (batches * (batches - 1)))
         assert abs(ses[idx] - ref_se) <= 1e-10 * ref_se
+
+
+def test_haar_average_chunked_matches_single_draws():
+    sys3 = make_system([1, 1, 1], [0.0, 1.0, -1.0])
+    nsamples, batches = 1200, 4
+    # the stream of each batch is split over more than one chunk
+    assert rq.CHUNK_BYTES // (16 * sys3.space.dim ** 2) < nsamples // batches
+    _assert_matches_per_draw(sys3, rq.eigen_h(2), 3,
+                             [2.7 + 0.6j, -3.0, 1.5j], 8, nsamples, batches,
+                             1e-14)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("space", [TensorRepSpace([1, 2, 1]),
+                                   TensorRepSpace.defining(3, 3)],
+                         ids=["121", "defining"])
+def test_haar_average_matches_per_draw_powers(space, l):
+    # group images of a weight-2 site and of SU(3) on (C^3)^(x)3; on the
+    # defining space each batch spans two chunks
+    system = rq.GaudinSystem(space, [0.0, 1.0, -1.0 + 0.5j])
+    nsamples, batches = 90, 3
+    assert rq.CHUNK_BYTES // (16 * 27 ** 2) < nsamples // batches
+    _assert_matches_per_draw(system, rq.eigen_h(space.n), l,
+                             [2.7 + 0.6j, -3.0 + 0.4j], 21, nsamples, batches,
+                             1e-13)
+
+
+@pytest.mark.parametrize("H", [np.array([[0.0, 1.0], [1.0, 0.0]]),
+                               np.diag([1.0, 0.5])],
+                         ids=["off_diagonal", "trace"])
+def test_monte_carlo_needs_diagonal_traceless_h(H):
+    sys2 = make_system([1, 2], [0.0, 1.0])
+    with pytest.raises(ValueError, match="diagonal traceless"):
+        rq.haar_average_power(sys2, H, 2, [2.0], rq.HaarSampler(2, seed=0), 20)
+    with pytest.raises(ValueError, match="diagonal traceless"):
+        rq.higher_gaudin(sys2, H, 2, rq.HaarSampler(2, seed=0), nsamples=20)
+    # the exact average takes any H
+    assert rq.higher_gaudin(sys2, H, 2).nsamples == 0
+
+
+def _dense_permutation_average(H, l):
+    """The average from the dense l! x n^(2l) matrix of the permutation
+    operators P_s, with G = P P^T."""
+    n = H.shape[0]
+    b = np.indices((n,) * l).reshape(l, -1)
+    P = np.zeros((math.factorial(l), n ** (2 * l)))
+    moments = []
+    for row, s in zip(P, itertools.permutations(range(l))):
+        row.reshape((n,) * 2 * l)[
+            tuple(x for j in range(l) for x in (b[s[j]], b[j]))] = 1.0
+        moments.append(np.prod(H[b[list(s)], b], axis=0).sum())
+    coeffs = np.linalg.pinv(P @ P.T, rcond=1e-10, hermitian=True) @ moments
+    return (coeffs @ P).reshape((n * n,) * l)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_permutation_average_matches_dense_construction(n, l):
+    rng = np.random.default_rng(n + 10 * l)
+    general = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for H in (rq.eigen_h(n), general):
+        want = _dense_permutation_average(H, l)
+        got = rq._permutation_average(H, l)
+        assert got.shape == (n * n,) * l
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
