@@ -437,9 +437,10 @@ def _gradients(fun, point):
     radii = 1e-2 * np.concatenate([np.ones(n), np.abs(point.t),
                                    np.ones(N * n * n)])
 
-    def at(y):
-        return fun(point.copy_with(p=y[:n], t=y[n:2 * n],
-                                   eta=y[2 * n:].reshape(N, n, n)))
+    def at(ys):
+        return np.array([fun(point.copy_with(p=y[:n], t=y[n:2 * n],
+                                             eta=y[2 * n:].reshape(N, n, n)))
+                         for y in ys])
 
     grad = ring_gradient(at, x, radii)
     return (grad[:n], grad[n:2 * n],

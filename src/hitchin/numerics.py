@@ -61,26 +61,25 @@ class PartialFractionPlan:
 def ring_gradient(f, x, radii):
     """Partial derivatives of a holomorphic map at the coordinates x.
 
-    f takes a complex vector shaped like x and returns a scalar or a 1-d
-    array.  The partial in x_k is the trapezoidal rule for Cauchy's
-    integral on the circle of radius radii[k] about x_k with RING_NODES
-    nodes, so its error decays like (radii[k] / R)^RING_NODES, R the
-    distance to the nearest singularity; polynomials of degree below
-    RING_NODES are differentiated exactly.  Returns an array of shape
-    (len(x),) + shape of f's value.
+    f takes a stack of points, shape (m, x.size), and returns their m
+    values stacked, shape (m,) or (m,) + value shape; it is called once,
+    on all x.size * RING_NODES ring points.  The partial in x_k is the
+    trapezoidal rule for Cauchy's integral on the circle of radius
+    radii[k] about x_k with RING_NODES nodes, so its error decays like
+    (radii[k] / R)^RING_NODES, R the distance to the nearest singularity;
+    polynomials of degree below RING_NODES are differentiated exactly.
+    Returns an array of shape (x.size,) + value shape.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x, dtype=complex).ravel()
     radii = np.broadcast_to(np.asarray(radii, dtype=float), x.shape)
-    grad = []
-    for k in range(x.size):
-        vals = []
-        for w in _RING:
-            y = x.copy()
-            y[k] += radii[k] * w
-            vals.append(f(y))
-        grad.append(np.tensordot(_RING.conj(), np.array(vals), axes=1)
-                    / (RING_NODES * radii[k]))
-    return np.array(grad)
+    # ring point (k, j) moves x_k to x_k + radii[k] * _RING[j]
+    points = np.tile(x, (x.size, RING_NODES, 1))
+    k = np.arange(x.size)
+    points[k, :, k] += radii[:, None] * _RING
+    vals = np.asarray(f(points.reshape(-1, x.size)))
+    vals = vals.reshape((x.size, RING_NODES) + vals.shape[1:])
+    grad = np.tensordot(_RING.conj(), vals, axes=([0], [1]))
+    return grad / (RING_NODES * radii).reshape((-1,) + (1,) * (grad.ndim - 1))
 
 
 def check_distinct(points):

@@ -16,69 +16,64 @@ from .theta import PoleError
 
 
 class RationalPhasePoint:
-    """N matrices eta[i] in gl_n attached to distinct marked points sites[i].
+    """Matrices eta[i] in gl_n attached to distinct marked points sites[i],
+    held as one complex array of shape (N, n, n).
 
     Optionally checks that each eta[i] is nilpotent (all power traces up to
     n vanish) and/or that the moment constraint sum_i eta[i] = 0 holds.
+    ``copy_with_eta`` also accepts a stack of shape (..., N, n, n): such a
+    batched point is evaluated by ``lax_rational``, ``HitchinCoefficients``
+    and ``HitchinObservable.value`` once for every leading index.
     """
 
     def __init__(self, eta, sites, check_nilpotent=False, check_moment=False):
-        self.eta = [np.array(m, dtype=complex) for m in eta]
-        self.sites = [complex(z) for z in sites]
-        if not self.eta:
-            raise ValueError("need at least one site")
-        n = self.eta[0].shape[0]
-        for m in self.eta:
-            if m.shape != (n, n):
-                raise ValueError("all site matrices must be square of equal size")
+        try:
+            self.eta = np.array(eta, dtype=complex)
+        except ValueError:  # matrices of different sizes
+            self.eta = np.empty(0)
+        if (self.eta.ndim != 3 or 0 in self.eta.shape
+                or self.eta.shape[1] != self.eta.shape[2]):
+            raise ValueError("need one or more square site matrices of "
+                             "equal size")
+        self.sites = tuple(complex(z) for z in sites)
         if len(self.sites) != len(self.eta):
             raise ValueError("sites and eta must have equal length")
-        self.n = n
-        self.nsites = len(self.sites)
+        self.nsites, self.n = self.eta.shape[:2]
         check_distinct(self.sites)
+        norms = np.linalg.norm(self.eta, axis=(1, 2))
         if check_nilpotent:
-            for i, m in enumerate(self.eta):
-                p = np.eye(n, dtype=complex)
-                for _ in range(n):
-                    p = p @ m
-                    if abs(np.trace(p)) > 1e-10 * max(1.0, np.linalg.norm(m) ** n):
-                        raise ValueError("site matrix %d is not nilpotent" % i)
-        if check_moment:
-            total = sum(self.eta)
-            if np.linalg.norm(total) > 1e-10 * max(
-                1.0, max(np.linalg.norm(m) for m in self.eta)
-            ):
-                raise ValueError("moment constraint sum(eta) = 0 violated")
+            p = self.eta
+            for _ in range(self.n):
+                bad = (np.abs(np.trace(p, axis1=1, axis2=2))
+                       > 1e-10 * np.maximum(1.0, norms ** self.n))
+                if bad.any():
+                    raise ValueError("site matrix %d is not nilpotent"
+                                     % np.argmax(bad))
+                p = p @ self.eta
+        if check_moment and (np.linalg.norm(self.eta.sum(axis=0))
+                             > 1e-10 * max(1.0, norms.max())):
+            raise ValueError("moment constraint sum(eta) = 0 violated")
 
     def copy_with_eta(self, eta):
+        """The point with the same sites and the site matrices ``eta``
+        (shape (..., N, n, n), used as given, not copied)."""
         obj = RationalPhasePoint.__new__(RationalPhasePoint)
-        obj.eta = [np.array(m, dtype=complex) for m in eta]
-        obj.sites = list(self.sites)
-        obj.n = self.n
-        obj.nsites = self.nsites
+        obj.__dict__.update(self.__dict__, eta=np.asarray(eta, dtype=complex))
         return obj
 
     def to_json(self):
-        return json.dumps(
-            {
-                "n": self.n,
-                "sites": [[z.real, z.imag] for z in self.sites],
-                "eta": [
-                    [[[v.real, v.imag] for v in row] for row in m]
-                    for m in self.eta
-                ],
-            }
-        )
+        return json.dumps({
+            "n": self.n,
+            "sites": [[z.real, z.imag] for z in self.sites],
+            "eta": np.stack([self.eta.real, self.eta.imag], axis=-1).tolist(),
+        })
 
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
         sites = [complex(re, im) for re, im in data["sites"]]
-        eta = [
-            np.array([[complex(re, im) for re, im in row] for row in m])
-            for m in data["eta"]
-        ]
-        point = cls(eta, sites)
+        eta = np.array(data["eta"], dtype=float)
+        point = cls(eta[..., 0] + 1j * eta[..., 1], sites)
         if point.n != data["n"]:
             raise ValueError("matrix size does not match declared n")
         return point
@@ -87,28 +82,27 @@ class RationalPhasePoint:
 def lax_rational(point, z):
     """The Lax matrix sum_i eta[i] / (z - z_i).
 
-    z may be an array of nodes; the result is then the stack of Lax
-    matrices, of shape z.shape + (n, n).
+    z may be an array of nodes and the point may be batched: the result
+    has shape eta.shape[:-3] + z.shape + (n, n), the leading axes of eta
+    ahead of those of z.  The sites are added in order, so every node of
+    a stack gives the same bytes as a call at that node alone.
     """
     z = np.asarray(z)
-    scale = max(1.0, max(abs(s) for s in point.sites))
-    out = np.zeros(z.shape + (point.n, point.n), dtype=complex)
-    for m, zi in zip(point.eta, point.sites):
-        dz = (z - zi)[..., None, None]
-        if np.any(np.abs(dz) < 1e-12 * scale):
-            raise PoleError("evaluation at marked point %r" % (zi,))
-        out += m / dz
-    return out
-
-
-def _hitchin_plan(sites, d):
-    """Extraction plan for the degree-d power trace, shared by every caller
-    with the same sites (a flow builds one per RK4 stage otherwise)."""
-    return _shared_plan(tuple(sites), int(d))
+    sites = np.array(point.sites)
+    dz = z[..., None] - sites
+    bad = np.abs(dz) < 1e-12 * max(1.0, np.abs(sites).max())
+    if bad.any():
+        raise PoleError("evaluation at marked point %r"
+                        % (point.sites[np.nonzero(bad)[-1][0]],))
+    eta = point.eta
+    eta = eta.reshape(eta.shape[:-3] + (1,) * z.ndim + eta.shape[-3:])
+    return (eta / dz[..., None, None]).sum(axis=-3)
 
 
 @functools.lru_cache(maxsize=32)
-def _shared_plan(sites, d):
+def _hitchin_plan(sites, d):
+    """Extraction plan for the degree-d power trace, shared by every caller
+    with the same sites (a flow builds one per RK4 stage otherwise)."""
     plan = PartialFractionPlan(sites, d - 1, max(4 * len(sites) * d, 16), 0.31)
     plan.nodes.flags.writeable = False
     plan.weights.flags.writeable = False
@@ -116,8 +110,10 @@ def _shared_plan(sites, d):
 
 
 def _power_traces(point, d, nodes):
+    """trace(eta(z)^d) at the nodes; the node axis comes first, then the
+    batch axes of a batched point."""
     powers = np.linalg.matrix_power(lax_rational(point, nodes), d)
-    return np.trace(powers, axis1=-2, axis2=-1)
+    return np.moveaxis(np.trace(powers, axis1=-2, axis2=-1), -1, 0)
 
 
 class HitchinCoefficients:
@@ -127,7 +123,8 @@ class HitchinCoefficients:
     basis prod_i (z - z_i)^{-a_i} over multi-indices a with sum a_i = d - 1.
     Coefficients are extracted by least squares on a fixed circle of
     quadrature nodes, so each coefficient is a fixed linear combination of
-    the values trace(eta(z_k)^d) -- a gauge-invariant functional.
+    the values trace(eta(z_k)^d) -- a gauge-invariant functional.  For a
+    batched point each value is the array of coefficients over the batch.
     """
 
     def __init__(self, point, degrees):
@@ -177,7 +174,9 @@ class HitchinObservable:
         self.nodes = plan.nodes
 
     def value(self, point):
-        return self.row @ _power_traces(point, self.d, self.nodes)
+        """H_{d,a} at the point; an array over the batch of a batched one."""
+        return np.tensordot(self.row, _power_traces(point, self.d, self.nodes),
+                            axes=1)
 
     def __call__(self, point):
         return self.value(point)
@@ -190,24 +189,26 @@ class HitchinObservable:
         scaled = (self.row * self.d)[:, None, None, None] * powers[:, None]
         dz = (self.nodes[:, None] - np.array(point.sites))[:, :, None, None]
         # a reduction over the leading axis adds the nodes in order
-        return np.sum(scaled / dz, axis=0)
+        return (scaled / dz).sum(axis=0)
 
 
 def _numerical_gradients(f, point):
-    """Cauchy-ring gradients of a scalar observable in every eta[i] entry.
+    """Cauchy-ring gradients of a scalar observable in every eta[i] entry,
+    shape (N, n, n).
 
     The independent oracle for analytic gradients; circles have radius
-    1e-2 times the largest of 1 and the site-matrix norms.
+    1e-2 times the largest of 1 and the site-matrix norms.  f is called
+    once, on the batched point of all ring points.
     """
     n, N = point.n, point.nsites
-    scale = max(1.0, max(np.linalg.norm(m) for m in point.eta))
+    scale = max(1.0, np.linalg.norm(point.eta, axis=(1, 2)).max())
 
-    def along(x):
-        return f(point.copy_with_eta(x.reshape(N, n, n)))
+    def along(xs):
+        return f(point.copy_with_eta(xs.reshape(-1, N, n, n)))
 
-    grad = ring_gradient(along, np.array(point.eta).ravel(), 1e-2 * scale)
+    grad = ring_gradient(along, point.eta.ravel(), 1e-2 * scale)
     # gradient convention tr(grad . delta): entry (b, a)
-    return list(grad.reshape(N, n, n).transpose(0, 2, 1))
+    return grad.reshape(N, n, n).transpose(0, 2, 1)
 
 
 def _observable_gradients(f, point):
@@ -221,19 +222,22 @@ def kk_bracket(f, g, point):
 
     The sign is fixed so that the matrix-valued coordinate brackets satisfy
     {eta(z) (x) eta(w)} = [P/(z-w), eta(z) (x) 1 + 1 (x) eta(w)].
+    An observable with a ``gradients`` method supplies its (N, n, n)
+    partials; any other is differentiated on Cauchy rings, so it must
+    take a batched point (eta of shape (m, N, n, n)) and return its m
+    values.  The per-site terms are stacked products, added in site order.
     """
     gf = _observable_gradients(f, point)
     gg = _observable_gradients(g, point)
-    total = 0.0 + 0.0j
-    for m, a, b in zip(point.eta, gf, gg):
-        total += np.trace(m @ (b @ a - a @ b))
-    return total
+    return np.sum(np.trace(point.eta @ (gg @ gf - gf @ gg),
+                           axis1=1, axis2=2))
 
 
 def hamiltonian_field(f, point):
-    """Hamiltonian vector field eta_dot[i] = {eta[i], f} = [eta[i], grad_i f]."""
+    """Hamiltonian vector field eta_dot[i] = {eta[i], f} = [eta[i], grad_i f],
+    shape (N, n, n)."""
     grads = _observable_gradients(f, point)
-    return [m @ g - g @ m for m, g in zip(point.eta, grads)]
+    return point.eta @ grads - grads @ point.eta
 
 
 def entry_observable(i, a, b):
@@ -241,12 +245,11 @@ def entry_observable(i, a, b):
 
     class _Entry:
         def __call__(self, point):
-            return point.eta[i][a, b]
+            return point.eta[..., i, a, b]
 
         def gradients(self, point):
-            grads = [np.zeros((point.n, point.n), dtype=complex)
-                     for _ in range(point.nsites)]
-            grads[i][b, a] = 1.0
+            grads = np.zeros(point.eta.shape, dtype=complex)
+            grads[i, b, a] = 1.0
             return grads
 
     return _Entry()
@@ -256,25 +259,16 @@ def coordinate_bracket_tensor(point, z, w):
     """The 4-tensor {eta(z)_ab, eta(w)_cd} reshaped as an n^2 x n^2 matrix.
 
     Row index (a, c), column index (b, d), i.e. the matrix of the operator
-    on C^n (x) C^n whose (a c, b d) entry is the bracket.
+    on C^n (x) C^n whose (a c, b d) entry is the bracket.  With
+    {eta[i]_ab, eta[i]_cd} = delta_cb eta[i]_ad - delta_ad eta[i]_cb it is
+    delta_cb M_ad - delta_ad M_cb, M = sum_i eta[i] / ((z - z_i)(w - z_i)).
     """
     n = point.n
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for i, (m, zi) in enumerate(zip(point.eta, point.sites)):
-        fz = 1.0 / (z - zi)
-        fw = 1.0 / (w - zi)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        # {eta[i]_ab, eta[i]_cd} = delta_cb eta_ad - delta_ad eta_cb
-                        val = 0.0
-                        if c == b:
-                            val += m[a, d]
-                        if a == d:
-                            val -= m[c, b]
-                        out[a * n + c, b * n + d] += fz * fw * val
-    return out
+    sites = np.array(point.sites)
+    M = np.einsum("i,iad->ad", 1.0 / ((z - sites) * (w - sites)), point.eta)
+    one = np.eye(n)
+    out = np.einsum("cb,ad->acbd", one, M) - np.einsum("ad,cb->acbd", one, M)
+    return out.reshape(n * n, n * n)
 
 
 def flow_field(point, d, a):
@@ -285,9 +279,7 @@ def flow_field(point, d, a):
     eta_dot[i] = sum_{j != i} [eta[i], eta[j]] / (z_i - z_j).
     This equals the Hamiltonian field of H_{d,a} divided by d.
     """
-    obs = HitchinObservable(point, d, a)
-    field = hamiltonian_field(obs, point)
-    return [m / d for m in field]
+    return hamiltonian_field(HitchinObservable(point, d, a), point) / d
 
 
 def integrate_flow(point, key, T, dt, overflow=1e8):
@@ -295,44 +287,30 @@ def integrate_flow(point, key, T, dt, overflow=1e8):
 
     trajectory is a list of (t, RationalPhasePoint); drift_max is the
     largest absolute drift of any Hitchin coefficient of degrees 2..n
-    along the trajectory.
+    along the trajectory, evaluated once over the whole trajectory as one
+    batched point.  Every step checks the site-matrix norms against
+    ``overflow`` (a NaN fails that check too).
     """
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
     d, a = key
-    degrees = list(range(2, point.n + 1))
-    ref = HitchinCoefficients(point, degrees)
-    ref_vals = dict(ref.values)
-
-    def rhs(p):
-        return flow_field(p, d, a)
-
-    nsteps = int(round(T / dt))
     current = point
     trajectory = [(0.0, current)]
-    drift_max = 0.0
-    for step in range(nsteps):
-        k1 = rhs(current)
-        p2 = current.copy_with_eta(
-            [m + 0.5 * dt * v for m, v in zip(current.eta, k1)])
-        k2 = rhs(p2)
-        p3 = current.copy_with_eta(
-            [m + 0.5 * dt * v for m, v in zip(current.eta, k2)])
-        k3 = rhs(p3)
-        p4 = current.copy_with_eta(
-            [m + dt * v for m, v in zip(current.eta, k3)])
-        k4 = rhs(p4)
-        new_eta = [
-            m + dt / 6.0 * (v1 + 2 * v2 + 2 * v3 + v4)
-            for m, v1, v2, v3, v4 in zip(current.eta, k1, k2, k3, k4)
-        ]
-        if max(np.linalg.norm(m) for m in new_eta) > overflow:
+    for step in range(int(round(T / dt))):
+        eta = current.eta
+        k1 = flow_field(current, d, a)
+        k2 = flow_field(current.copy_with_eta(eta + 0.5 * dt * k1), d, a)
+        k3 = flow_field(current.copy_with_eta(eta + 0.5 * dt * k2), d, a)
+        k4 = flow_field(current.copy_with_eta(eta + dt * k3), d, a)
+        new_eta = eta + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.linalg.norm(new_eta, axis=(1, 2)) <= overflow):
             raise OverflowError("trajectory escaped the overflow bound")
         current = current.copy_with_eta(new_eta)
         trajectory.append(((step + 1) * dt, current))
-        coeffs = HitchinCoefficients(current, degrees)
-        for kk, v in ref_vals.items():
-            drift_max = max(drift_max, abs(coeffs.values[kk] - v))
+    stack = point.copy_with_eta(np.array([p.eta for _, p in trajectory]))
+    coeffs = HitchinCoefficients(stack, range(2, point.n + 1))
+    drift_max = max((np.abs(v - v[0]).max() for v in coeffs.values.values()),
+                    default=0.0)
     return trajectory, drift_max
 
 

@@ -263,26 +263,37 @@ def exact_average_power(system, H, l, zetas):
     The average of (Ad(k)H)^{(x) l} (`_permutation_average`, any n x n H)
     is contracted with the currents J_ab(zeta) of the matrix units, which
     is exact on sl2 sites too, as sum_ab X_ab J_ab is the current of X
-    there.  Per node it costs n^(2l-2) dim^3 and holds n^(2l-2) dim^2
-    numbers: SU(3) on three defining sites at 13 nodes takes 0.02 s at
-    l = 3, 0.1-0.15 s at l = 4 and 0.8-1.7 s at l = 5 (about 120 MB peak,
-    the 76 MB of that intermediate) on a shared 2-core machine.  Returns
-    shape (len(zetas), dim, dim).
+    there.  Per node it costs n^(2l-2) dim^3 and, contracting one value
+    of the first index at a time, holds n^(2l-4) dim^2 numbers: SU(3) on
+    three defining sites at 13 nodes takes 0.02 s at l = 3, 0.1-0.15 s at
+    l = 4 and 0.7-1.7 s at l = 5 (45 MB peak RSS) on a shared 2-core
+    machine.  Returns shape (len(zetas), dim, dim).
     """
     n, dim = system.space.n, system.space.dim
     avg = _permutation_average(np.asarray(H), l)
     # J[k, z] is the current of the matrix unit E_ab, k = n a + b
     J = system.current(np.eye(n * n).reshape(n * n, n, n), np.ravel(zetas))
+    if l == 1:
+        return np.tensordot(avg, J, axes=1)
     out = []
     for Jz in J.swapaxes(0, 1):
         # sum_k_l avg[..., k_l] J_k_l, then J_k @ (...) for the remaining k
-        # from the right, each as one product over the stacked (k, row) axis
+        # from the right, one value of the first index at a time
         rows = Jz.swapaxes(0, 1).reshape(dim, n * n * dim)
-        total = np.tensordot(avg, Jz, axes=1)
-        for _ in range(l - 1):
-            total = rows @ total.reshape(total.shape[:-3] + (n * n * dim, dim))
-        out.append(total)
+        firsts = [_left_products(rows, np.tensordot(a, Jz, axes=1))
+                  for a in avg]
+        out.append(_left_products(rows, np.array(firsts)))
     return np.array(out)
+
+
+def _left_products(rows, total):
+    """sum_k J_k @ total[..., k, :, :] over the leading k axes, last first,
+    each as one product of rows = [J_0 ... J_(n^2-1)] with the stacked
+    (k, row) axis."""
+    dim = rows.shape[0]
+    while total.ndim > 2:
+        total = rows @ total.reshape(total.shape[:-3] + (-1, dim))
+    return total
 
 
 # Bytes of the stacked group images R(k) one chunk of group elements

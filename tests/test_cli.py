@@ -184,13 +184,48 @@ def read_rows(path):
     ["theta-check", "--q", "1.2"],
     ["theta-check", "--q", "0.9999999"],
     ["rational-quantum", "--weights", "1"],
-], ids=["q_outside_disc", "q_truncation", "one_weight"])
+    ["rational-classical", "--trials", "0"],
+    ["rational-classical", "--trials", "-1"],
+    ["rational-classical", "--nsites", "0"],
+    ["rational-classical", "--n", "1"],
+    ["elliptic-classical", "--points", "0"],
+    ["theta-check", "--points", "0"],
+    ["elliptic-quantum", "--twists", "0"],
+    ["elliptic-classical", "--n", "0"],
+    ["rational-quantum", "--p-max", "2"],
+], ids=["q_outside_disc", "q_truncation", "one_weight", "no_trials",
+        "negative_trials", "no_sites", "no_coefficient", "ec_no_points",
+        "theta_no_points", "no_twists", "ec_no_matrices", "short_s_series"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     code = run(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_count_below_one_is_a_config_error():
+    with pytest.raises(cli.ConfigError, match="'points' must be at least 1"):
+        cli.resolve_config("theta-check", {"points": "0"}, {})
+
+
+def test_one_site_rational_classical_is_na(tmp_path):
+    # one site: a single degree-2 coefficient, no pair to bracket, and the
+    # coefficients are Casimirs, so no flow moves
+    code = run(["rational-classical", "--nsites", "1", "--out", str(tmp_path)])
+    assert code == 0
+    rows = read_rows(tmp_path / "rational-classical.csv")
+    for check in ("involutivity", "gradient_fd_oracle", "flow_conservation"):
+        assert (rows[check]["residual"], rows[check]["status"]) \
+            == ("n/a", "n/a")
+
+
+def test_small_rational_classical_run_passes(tmp_path):
+    code = run(["rational-classical", "--nsites", "2", "--trials", "1",
+                "--out", str(tmp_path)])
+    assert code == 0
+    rows = read_rows(tmp_path / "rational-classical.csv")
+    assert {r["status"] for r in rows.values()} == {"pass"}
 
 
 def test_exhausted_phase_point_draws_exit_3(tmp_path, capsys, monkeypatch,

@@ -18,6 +18,8 @@ def test_phase_point_validation():
     with pytest.raises(ValueError):
         rc.RationalPhasePoint([E2, np.eye(3)], [0.0, 1.0])
     with pytest.raises(ValueError):
+        rc.RationalPhasePoint(np.zeros((0, 2, 2)), [])
+    with pytest.raises(ValueError):
         rc.RationalPhasePoint([np.eye(2)], [0.0], check_nilpotent=True)
     with pytest.raises(ValueError):
         rc.RationalPhasePoint([E2, E2], [0.0, 1.0], check_moment=True)
@@ -56,6 +58,21 @@ def test_lax_stacked_equals_single_calls():
     nodes[2, 3] = pt.sites[1]
     with pytest.raises(rc.PoleError):
         rc.lax_rational(pt, nodes)
+
+
+def test_lax_batched_point_equals_single_points():
+    # leading axes of a batched eta come out ahead of the node axes, and
+    # every (point, node) entry has the bytes of a call on that point alone
+    rng = np.random.default_rng(19)
+    pt = rc.random_nilpotent_point(3, 3, rng)
+    etas = np.array([rc.random_nilpotent_point(3, 3, rng).eta
+                     for _ in range(2)])
+    nodes = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    stacked = rc.lax_rational(pt.copy_with_eta(etas), nodes)
+    single = np.array([[[rc.lax_rational(pt.copy_with_eta(e), z)
+                         for z in row] for row in nodes] for e in etas])
+    assert stacked.shape == (2, 4, 5, 3, 3)
+    assert stacked.tobytes() == single.tobytes()
 
 
 def test_lax_residue():
@@ -220,6 +237,53 @@ def test_integrate_flow_conservation():
     scale = max(1.0, max(abs(v) for v in coeffs.values.values()))
     _, drift = rc.integrate_flow(pt, (2, (1, 0, 0)), T=1.0, dt=1e-2)
     assert drift < 1e-8 * scale
+
+
+def _per_site_rk4(pt, key, dt, steps):
+    """RK4 with one list entry per site, as the flow was first written."""
+    d, a = key
+
+    def rhs(eta):
+        return list(rc.flow_field(pt.copy_with_eta(np.array(eta)), d, a))
+
+    eta = list(pt.eta)
+    out = [np.array(eta)]
+    for _ in range(steps):
+        k1 = rhs(eta)
+        k2 = rhs([m + 0.5 * dt * v for m, v in zip(eta, k1)])
+        k3 = rhs([m + 0.5 * dt * v for m, v in zip(eta, k2)])
+        k4 = rhs([m + dt * v for m, v in zip(eta, k3)])
+        eta = [m + dt / 6.0 * (v1 + 2 * v2 + 2 * v3 + v4)
+               for m, v1, v2, v3, v4 in zip(eta, k1, k2, k3, k4)]
+        out.append(np.array(eta))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n,key", [(2, (2, (0, 1, 0))),
+                                   (3, (2, (1, 0, 0))),
+                                   (3, (3, (0, 1, 1)))])
+def test_integrate_flow_equals_per_site_rk4(n, key):
+    pt = rc.random_nilpotent_point(n, 3, np.random.default_rng(20 + n))
+    dt = 1e-3
+    traj, _ = rc.integrate_flow(pt, key, T=100 * dt, dt=dt)
+    assert len(traj) == 101
+    assert np.array_equal(np.array([p.eta for _, p in traj]),
+                          _per_site_rk4(pt, key, dt, 100))
+
+
+def test_integrate_flow_drift_is_per_step_drift():
+    # the batched drift check equals the largest drift of per-step
+    # coefficient extractions; on this trajectory the largest drift is
+    # reached mid-way, so the whole trajectory is checked, not its end
+    pt = rc.random_nilpotent_point(2, 3, np.random.default_rng(29))
+    traj, drift = rc.integrate_flow(pt, (2, (0, 1, 0)), T=0.3, dt=1e-2)
+    ref = rc.HitchinCoefficients(pt, [2])
+    per_step = [max(abs(rc.HitchinCoefficients(p, [2])[k] - ref[k])
+                    for k in ref.keys()) for _, p in traj[1:]]
+    assert per_step[-1] < 0.5 * max(per_step)
+    # both are differences of coefficients of this size
+    scale = max(abs(v) for v in ref.values.values())
+    assert abs(drift - max(per_step)) < 1e-13 * scale
 
 
 def test_integrate_flow_short_time_limit():

@@ -246,6 +246,34 @@ def test_exact_average_l2_closed_form(space):
         assert np.linalg.norm(mean - target) < 1e-12
 
 
+@pytest.mark.parametrize("space,l", [(TensorRepSpace([1, 2]), 1),
+                                     (TensorRepSpace([1, 2]), 2),
+                                     (TensorRepSpace([1, 2]), 3),
+                                     (TensorRepSpace.defining(3, 2), 3)],
+                         ids=["sl2-l1", "sl2-l2", "sl2-l3", "defining-l3"])
+def test_exact_average_equals_direct_sum(space, l):
+    # the contraction, one value of the first index at a time, is
+    # sum over (k_1..k_l) of avg[k] J_k1 ... J_kl, for a general H (with
+    # eigen_h the odd sl2 averages vanish)
+    system = rq.GaudinSystem(space, [0.0, 1.0 + 0.5j])
+    rng = np.random.default_rng(5)
+    H = rng.normal(size=(space.n, space.n)) + 1j * rng.normal(
+        size=(space.n, space.n))
+    zetas = [2.7 + 0.6j, -3.0 + 0.4j]
+    avg = rq._permutation_average(H, l)
+    units = np.eye(space.n ** 2).reshape(space.n ** 2, space.n, space.n)
+    J = system.current(units, zetas)
+    got = rq.exact_average_power(system, H, l, zetas)
+    for node, mean in enumerate(got):
+        ref = np.zeros_like(mean)
+        for ks in itertools.product(range(space.n ** 2), repeat=l):
+            term = avg[ks] * np.eye(space.dim)
+            for k in ks:
+                term = term @ J[k, node]
+            ref += term
+        assert np.linalg.norm(mean - ref) < 1e-13 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("space,l", [(TensorRepSpace.defining(3, 3), 2),
                                      (TensorRepSpace.defining(3, 3), 3),
                                      (TensorRepSpace([1, 1, 1]), 4)],

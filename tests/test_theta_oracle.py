@@ -27,9 +27,10 @@ def _li(k, y):
 
 
 def _powers(q, z):
-    """q^1, q^2, ... until the tail is below 10^-(DPS+5) at argument z."""
+    """q^1, q^2, ... until the tail is below 10^-(dps+5) at argument z,
+    dps the working precision."""
     scale = abs(z) + 1 / abs(z) + 2
-    eps = mp.mpf(10) ** -(DPS + 5)
+    eps = mp.mpf(10) ** -(mp.mp.dps + 5)
     out = [q]
     while abs(out[-1]) * scale > eps:
         out.append(out[-1] * q)
@@ -94,4 +95,49 @@ def test_leaf_matches_mpmath(q):
                 # measured relative to max(1, |reference|)
                 err = rel_error(got, ref, 0.0 if name == "theta" else 1.0)
                 worst[name] = max(worst.get(name, 0.0), float(err))
+    assert all(err <= RTOL for err in worst.values()), worst
+
+
+def _near_one_references(q, z):
+    """theta(z) and D^k u(z), k = 0..3, in one pass over the terms: with
+    v = 1/(1-y), Li_0 = y v, Li_-1 = y v^2, Li_-2 = y (1+y) v^3 and
+    Li_-3 = y (1+4y+y^2) v^4."""
+
+    def lis(y):
+        v = 1 / (1 - y)
+        yv = y * v
+        return (yv, yv * v, yv * (1 + y) * v * v,
+                yv * (1 + 4 * y + y * y) * v * v * v)
+
+    theta = 1 - z
+    u = [-t for t in lis(z)]
+    for qi in _powers(q, z):
+        theta *= (1 - qi * z) * (1 - qi / z)
+        for k, (a, b) in enumerate(zip(lis(qi * z), lis(qi / z))):
+            u[k] += -a + (-1) ** k * b
+    return theta, u
+
+
+def test_leaf_near_the_unit_circle():
+    # q = 0.99: theta is 1e-92 and 4e-146 on the points and the series
+    # take about 5,000 terms.  theta is judged relative to |reference|; a floor
+    # of 1 would pass any value there.  So are D u and u.  D^2 u and D^3 u
+    # cancel to about 1e-18 at generic points, far below the rounding of
+    # their O(100) terms, so there they are judged against max(1, |ref|),
+    # and relative to |reference| next to the zero at 1, where they are
+    # about 1e18 and 1e24.
+    q = 0.99
+    ctx = th.ThetaContext(q)
+    worst = {}
+    with mp.workdps(16):
+        mq = mp.mpc(q)
+        for z, near_zero in [(q ** 0.5 * cmath.exp(0.4j), False),
+                             (1.0 + 1e-6 * cmath.exp(0.3j), True)]:
+            theta, u = _near_one_references(mq, mp.mpc(z))
+            pairs = [("theta", ctx.theta(z), theta, 0.0)]
+            pairs += [("D^%d u" % k, ctx.theta_ratio_deriv(z, k), u[k],
+                       0.0 if k < 2 or near_zero else 1.0) for k in range(4)]
+            for name, got, ref, floor in pairs:
+                err = float(rel_error(got, ref, floor))
+                worst[name] = max(worst.get(name, 0.0), err)
     assert all(err <= RTOL for err in worst.values()), worst
