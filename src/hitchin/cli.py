@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .theta import PoleError, ThetaContext, TruncationError
+from .theta import PoleError, ThetaContext, TruncationError, redraw
 
 
 class ConfigError(Exception):
@@ -26,7 +26,12 @@ class ConfigError(Exception):
 
 
 def _parse_weights(text):
-    return [int(w) for w in str(text).split(",") if w != ""]
+    """Comma-separated sl2 highest weights, each a nonnegative integer."""
+    items = str(text).split(",")
+    if not all(w.strip().isdigit() for w in items):
+        raise ValueError("weights must be nonnegative integers, got %r"
+                         % text)
+    return [int(w) for w in items]
 
 
 def _parse_sites(text):
@@ -103,10 +108,13 @@ def load_config(path):
 
 def resolve_config(name, raw, overrides):
     """Merge file values and CLI overrides against the subcommand
-    schema; reject unknown keys."""
+    schema; reject unknown keys.  Both are parsed here, so a bad value
+    from either source is a ConfigError."""
     schema = SCHEMAS[name]
+    given = dict(raw)
+    given.update((k, v) for k, v in overrides.items() if v is not None)
     cfg = {}
-    for key, txt in raw.items():
+    for key, txt in given.items():
         if key in COMMON_KEYS:
             cfg[key] = txt
             continue
@@ -121,9 +129,6 @@ def resolve_config(name, raw, overrides):
             raise ConfigError("bad value for %r: %s" % (key, exc))
     for key, (parse, default) in schema.items():
         cfg.setdefault(key, default)
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
     for key, val in cfg.items():
         low = MINIMA.get((name, key), MINIMA.get(key))
         if low is not None and val < low:
@@ -170,16 +175,6 @@ def _unit_annulus(rng, lo=0.8, hi=1.3):
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * rng.uniform(lo, hi)
 
 
-def _count_rejection(rejected):
-    """The count of draws in a row the pole guard rejected, one more than
-    rejected; PoleError once it reaches MAX_DRAWS."""
-    from .elliptic_classical import MAX_DRAWS
-    if rejected + 1 >= MAX_DRAWS:
-        raise PoleError("%d evaluation draws in a row hit the pole guard"
-                        % MAX_DRAWS)
-    return rejected + 1
-
-
 # -- subcommands -------------------------------------------------------------
 
 def run_theta_check(cfg):
@@ -193,31 +188,20 @@ def run_theta_check(cfg):
         ("reflection", th.reflection_residual),
         ("wp_even", th.wp_even_residual),
     ]
-    worst = {name: 0.0 for name, _ in one_arg}
-    worst.update(kernel_pair=0.0, addition=0.0, mixed_derivative=0.0,
-                 cross_square=0.0)
-    count = rejected = 0
-    while count < cfg["points"]:
+
+    def sample():
         pts = [_unit_annulus(rng) for _ in range(4)]
-        try:
-            for name, fn in one_arg:
-                worst[name] = max(worst[name], fn(ctx, pts[0]))
-            worst["kernel_pair"] = max(
-                worst["kernel_pair"], th.wp_pair_residual(ctx, pts[0], pts[1]))
-            worst["addition"] = max(
-                worst["addition"],
-                th.addition_residual(ctx, pts[0], pts[1], pts[2], pts[3]))
-            worst["mixed_derivative"] = max(
-                worst["mixed_derivative"],
-                th.mixed_derivative_residual(ctx, pts[0], pts[1], pts[2]))
-            worst["cross_square"] = max(
-                worst["cross_square"],
-                th.cross_square_residual(ctx, pts[0], pts[1]))
-        except PoleError:
-            rejected = _count_rejection(rejected)
-            continue
-        count += 1
-        rejected = 0
+        res = {name: fn(ctx, pts[0]) for name, fn in one_arg}
+        res["kernel_pair"] = th.wp_pair_residual(ctx, pts[0], pts[1])
+        res["addition"] = th.addition_residual(ctx, *pts)
+        res["mixed_derivative"] = th.mixed_derivative_residual(ctx, *pts[:3])
+        res["cross_square"] = th.cross_square_residual(ctx, pts[0], pts[1])
+        return res
+
+    worst = {}
+    for _ in range(cfg["points"]):
+        for name, val in redraw(sample).items():
+            worst[name] = max(worst.get(name, 0.0), val)
     rows = [("theta_at_one", "q=%s" % _fmt(ctx.q),
              th.theta_one_residual(ctx), cfg["tol"])]
     for name in worst:
@@ -318,28 +302,24 @@ def run_elliptic_classical(cfg):
     ctx = ThetaContext(cfg["q"])
     rng = _rng(cfg["seed"], 2)
     n, N = cfg["n"], cfg["nsites"]
-    rmat_worst = 0.0
-    trace_worst = 0.0
-    done = rejected = 0
-    while done < cfg["points"]:
-        # outside the retry: a PoleError here means the draws are exhausted
+
+    def sample(pt):
+        z = _unit_annulus(rng)
+        w = _unit_annulus(rng)
+        if abs(z / w - 1.0) < 0.05:
+            w *= 1.2
+        rmat = ec.verify_dynamical_rmatrix(pt, z, w)
+        hams = ec.hamiltonians_elliptic(pt)
+        return rmat, ec.trace_expansion(pt, z, hams) / max(abs(hams.h0), 1.0)
+
+    rmat_worst = trace_worst = 0.0
+    for done in range(cfg["points"]):
+        # the point keeps its own draws; a rejection redraws z and w only
         pt = ec.random_elliptic_point(n, N, cfg["q"], rng,
                                       moment=(done % 2 == 1))
-        try:
-            z = _unit_annulus(rng)
-            w = _unit_annulus(rng)
-            if abs(z / w - 1.0) < 0.05:
-                w *= 1.2
-            rmat_worst = max(rmat_worst, ec.verify_dynamical_rmatrix(pt, z, w))
-            hams = ec.hamiltonians_elliptic(pt)
-            hscale = max(abs(hams.h0), 1.0)
-            trace_worst = max(trace_worst,
-                              ec.trace_expansion(pt, z, hams) / hscale)
-        except PoleError:
-            rejected = _count_rejection(rejected)
-            continue
-        done += 1
-        rejected = 0
+        rmat, trace = redraw(lambda: sample(pt))
+        rmat_worst = max(rmat_worst, rmat)
+        trace_worst = max(trace_worst, trace)
     bracket_worst = 0.0
     pairs = np.triu_indices(N + 1, 1)
     for trial in range(3):
@@ -439,11 +419,11 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="report directory")
         p.add_argument("--tol", type=float, default=None)
-        for key, (parse, default) in schema.items():
+        for key in schema:
             if key == "tol":
                 continue
             p.add_argument("--%s" % key.replace("_", "-"), dest=key,
-                           type=parse, default=None)
+                           default=None)
     return parser
 
 

@@ -23,7 +23,7 @@ import json
 import numpy as np
 
 from .numerics import ring_gradient
-from .theta import ThetaContext, PoleError
+from .theta import MAX_DRAWS, ThetaContext, redraw
 
 
 class EllipticPhasePoint:
@@ -96,16 +96,13 @@ class EllipticPhasePoint:
                    [cplx(v) for v in data["sites"]])
 
 
-# Draws a random phase point may take; a draw is rejected only when it lands
-# within the pole guard of the lattice, which continuous draws almost never do.
-MAX_DRAWS = 1000
-
-
 def random_elliptic_point(n, nsites, q, rng, moment=False):
     """Random phase point; with moment=True the diagonal charges vanish.
-    Raises PoleError after MAX_DRAWS draws that all land on the lattice."""
+    Raises PoleError after MAX_DRAWS draws in a row that land on the
+    lattice."""
     ctx = ThetaContext(q)
-    for _ in range(MAX_DRAWS):
+
+    def draw():
         t = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) \
             * rng.uniform(0.8, 1.25, n)
         sites = np.exp(1j * rng.uniform(0, 2 * np.pi, nsites)) \
@@ -117,11 +114,8 @@ def random_elliptic_point(n, nsites, q, rng, moment=False):
             total = sum(eta)
             for a in range(n):
                 eta[-1][a, a] -= total[a, a]
-        try:
-            return EllipticPhasePoint(ctx, p, t, eta, sites)
-        except (ValueError, PoleError):
-            pass
-    raise PoleError("no phase point off the lattice in %d draws" % MAX_DRAWS)
+        return EllipticPhasePoint(ctx, p, t, eta, sites)
+    return redraw(draw)
 
 
 def _pairs(n):

@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 
 from .lie import TensorRepSpace
-from .theta import PoleError
+from .theta import redraw
 from .theta_expr import ThetaExpr, kernel_expr, sigma_expr
 
 
@@ -338,8 +338,8 @@ def check_reduced_commutativity(params, t_samples, exponents, ops=None):
     scale = 0.0
     for a in range(len(fam)):
         for b in range(a + 1, len(fam)):
-            comm = commutator(fam[a], fam[b])
             prod = fam[a] @ fam[b]
+            comm = prod - fam[b] @ fam[a]
             for t in t_samples:
                 cvals = comm.evaluate(ctx, t)
                 pvals = prod.evaluate(ctx, t)
@@ -355,22 +355,19 @@ def symbol_data(params, rng):
     """Random classical phase point matching the reduced quantum data:
     twists (t, 1/t), momenta (p/2, -p/2), site matrices built from
     scalar symbols of (e, f, h).  Raises PoleError after MAX_DRAWS draws
-    that all land on the lattice."""
-    from .elliptic_classical import MAX_DRAWS, EllipticPhasePoint
-    for _ in range(MAX_DRAWS):
+    in a row that land on the lattice."""
+    from .elliptic_classical import EllipticPhasePoint
+
+    def draw():
         t = np.exp(1j * rng.uniform(0, 2 * np.pi)) * rng.uniform(0.85, 1.2)
         p = rng.normal() + 1j * rng.normal()
         sym = rng.normal(size=(len(params.weights), 3)) \
             + 1j * rng.normal(size=(len(params.weights), 3))
         eta = [np.array([[hv / 2, ev], [fv, -hv / 2]])
                for (ev, fv, hv) in sym]
-        try:
-            point = EllipticPhasePoint(params.ctx, [p / 2, -p / 2],
-                                       [t, 1.0 / t], eta, params.sites)
-        except (ValueError, PoleError):
-            continue
-        return point, sym
-    raise PoleError("no symbol point off the lattice in %d draws" % MAX_DRAWS)
+        return EllipticPhasePoint(params.ctx, [p / 2, -p / 2],
+                                  [t, 1.0 / t], eta, params.sites), sym
+    return redraw(draw)
 
 
 def _scalar_hamiltonians(params, sym, p, t):
@@ -447,16 +444,28 @@ def _shift_derivative(coeffs, c):
     return out
 
 
-def _weyl_element(params):
-    """Product of the per-site sl2 Weyl representatives exp(-e) exp(f)
-    exp(-e); conjugation sends e -> -f, f -> -e, h -> -h on every
-    site."""
-    from scipy.linalg import expm
-    e, f, _ = _site_matrices(params)
-    s = np.eye(params.dim)
-    for i in range(len(params.weights)):
-        s = s @ expm(-e[i]) @ expm(f[i]) @ expm(-e[i])
-    return s
+def _lax_symmetry_residual(params, z, t, image, swap, shift, conj, factor):
+    """Largest entry of |g L'_ab g^-1 - factor[a, b] L_ab(t)| over the four
+    entries, evaluated at a numeric twist t and compared per degree in D.
+
+    L' is the Lax matrix at the twist `image`; with swap its entries are
+    taken at (1-a, 1-b) and D -> -D.  Then D -> D + shift, and g = conj.
+    """
+    ctx = params.ctx
+    lax = lax_quantum(params, z)
+    conj_inv = np.linalg.inv(conj)
+    sign = -1.0 if swap else 1.0
+    worst = 0.0
+    for a, b in np.ndindex(2, 2):
+        ref = {m: factor[a, b] * mat
+               for m, mat in lax[a, b].evaluate(ctx, t).items()}
+        src = lax[1 - a, 1 - b] if swap else lax[a, b]
+        raw = {m: sign ** m * mat
+               for m, mat in src.evaluate(ctx, image).items()}
+        cand = {m: conj @ mat @ conj_inv
+                for m, mat in _shift_derivative(raw, shift).items()}
+        worst = max(worst, _max_diff(cand, ref))
+    return worst
 
 
 def check_s2_invariance(params, z, t):
@@ -464,26 +473,22 @@ def check_s2_invariance(params, z, t):
 
     Swapping the two twist components acts by the entry swap
     (a, b) -> (1-a, 1-b) combined with t -> 1/t (hence D -> -D followed
-    by the twist-level shift D -> D + k), the Weyl conjugation of every
-    site representation, and a sign on the off-diagonal entries.  The
-    transformed matrix must equal the original entrywise.
+    by the twist-level shift D -> D + k), conjugation by the Weyl element
+    [[0, -1], [1, 0]] of SL(2) acting on every site (the group action
+    `TensorRepSpace.group_image`, which sends e -> -f, f -> -e, h -> -h),
+    and a sign on the off-diagonal entries.  The transformed matrix must
+    equal the original entrywise.
     """
-    ctx = params.ctx
-    k = params.k
-    lax = lax_quantum(params, z)
-    weyl = _weyl_element(params)
-    weyl_inv = np.linalg.inv(weyl)
-    worst = 0.0
-    for a in range(2):
-        for b in range(2):
-            ref = lax[a, b].evaluate(ctx, t)
-            raw = lax[1 - a, 1 - b].evaluate(ctx, 1.0 / t)
-            raw = {m: ((-1.0) ** m) * mat for m, mat in raw.items()}
-            raw = _shift_derivative(raw, float(k))
-            sign = 1.0 if a == b else -1.0
-            cand = {m: sign * weyl @ mat @ weyl_inv for m, mat in raw.items()}
-            worst = max(worst, _max_diff(cand, ref))
-    return worst
+    weyl = params.space.group_image(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    return _lax_symmetry_residual(
+        params, z, t, 1.0 / t, True, float(params.k), weyl,
+        np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+def _lattice_conjugator(params):
+    """prod_i z_i^(-h_i/2), read off the diagonals of the h_i."""
+    hs = np.diagonal(params.space.images[:, 0, 0], axis1=1, axis2=2).real
+    return np.diag(np.prod(params.sites[:, None] ** (-hs / 2), axis=0))
 
 
 def check_lattice_invariance(params, z, t):
@@ -491,30 +496,9 @@ def check_lattice_invariance(params, z, t):
 
     The lattice generator scales the squared twist by 1/q, shifts
     D -> D - k, and conjugates every site representation by
-    z_i^(-h_i/2); the result must match Ad(diag(1, z)) applied to the
-    original Lax matrix entrywise.
+    z_i^(-h_i/2), a diagonal matrix in the weight basis; the result must
+    match Ad(diag(1, z)) applied to the original Lax matrix entrywise.
     """
-    ctx = params.ctx
-    k = params.k
-    d = params.dim
-    lax = lax_quantum(params, z)
-    tq = t / np.sqrt(ctx.q)
-    conj = np.eye(d)
-    e, f, h = _site_matrices(params)
-    for i, zi in enumerate(params.sites):
-        vals, vecs = np.linalg.eig(h[i])
-        conj = conj @ (vecs @ np.diag(zi ** (-vals / 2))
-                       @ np.linalg.inv(vecs))
-    conj_inv = np.linalg.inv(conj)
-    worst = 0.0
-    for a in range(2):
-        for b in range(2):
-            adfac = 1.0 / z if (a, b) == (0, 1) else \
-                z if (a, b) == (1, 0) else 1.0
-            ref = {m: adfac * mat
-                   for m, mat in lax[a, b].evaluate(ctx, t).items()}
-            raw = lax[a, b].evaluate(ctx, tq)
-            raw = _shift_derivative(raw, -float(k))
-            cand = {m: conj @ mat @ conj_inv for m, mat in raw.items()}
-            worst = max(worst, _max_diff(cand, ref))
-    return worst
+    return _lax_symmetry_residual(
+        params, z, t, t / np.sqrt(params.ctx.q), False, -float(params.k),
+        _lattice_conjugator(params), np.array([[1.0, 1.0 / z], [z, 1.0]]))

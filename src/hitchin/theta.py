@@ -48,6 +48,23 @@ class PoleError(ThetaError):
     """Argument too close to the lattice q^Z where a denominator vanishes."""
 
 
+# Draws in a row a random sample may take; a draw is rejected only when it
+# lands within the pole guard of the lattice, which continuous draws almost
+# never do.
+MAX_DRAWS = 1000
+
+
+def redraw(draw):
+    """Call draw() until it returns without a PoleError, and return its
+    value; PoleError once MAX_DRAWS draws in a row were rejected."""
+    for _ in range(MAX_DRAWS):
+        try:
+            return draw()
+        except PoleError:
+            pass
+    raise PoleError("pole guard hit in %d draws in a row" % MAX_DRAWS)
+
+
 class TruncationError(ThetaError):
     """The q-series would need more than max_terms terms to converge."""
 

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,15 +197,43 @@ def read_rows(path):
     ["elliptic-quantum", "--twists", "0"],
     ["elliptic-classical", "--n", "0"],
     ["rational-quantum", "--p-max", "2"],
+    ["elliptic-quantum", "--weights", "1,-1"],
+    ["elliptic-quantum", "--weights", "1,,1"],
+    ["rational-quantum", "--weights", "1,-1,1"],
+    ["rational-quantum", "--weights", "1,,1"],
 ], ids=["q_outside_disc", "q_truncation", "one_weight", "no_trials",
         "negative_trials", "no_sites", "no_coefficient", "ec_no_points",
-        "theta_no_points", "no_twists", "ec_no_matrices", "short_s_series"])
+        "theta_no_points", "no_twists", "ec_no_matrices", "short_s_series",
+        "eq_negative_weight", "eq_empty_weight", "rq_negative_weight",
+        "rq_empty_weight"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     code = run(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["1,-1", "1,,1", "1,1,", ""])
+def test_bad_weights_are_a_config_error(text):
+    with pytest.raises(cli.ConfigError, match="'weights'"):
+        cli.resolve_config("elliptic-quantum", {"weights": text}, {})
+    with pytest.raises(cli.ConfigError, match="'weights'"):
+        cli.resolve_config("rational-quantum", {}, {"weights": text})
+
+
+def test_elliptic_quantum_run_needs_no_scipy(tmp_path):
+    # a fresh interpreter: other tests may have imported scipy here
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    script = ("import sys\n"
+              "from hitchin.cli import main\n"
+              "code = main(['elliptic-quantum', '--out', sys.argv[1]])\n"
+              "print(code, 'scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_count_below_one_is_a_config_error():
@@ -260,3 +292,28 @@ def test_rejected_evaluation_draws_exit_3(tmp_path, capsys, monkeypatch,
     assert len(calls) == MAX_DRAWS
     assert len(err.strip().splitlines()) == 1
     assert "in a row" in err
+
+
+def test_rejected_draw_adds_nothing_to_the_maxima(tmp_path, monkeypatch):
+    # the first draw has a huge functional-equation residual and then hits
+    # the pole guard in a later residual: none of it may reach the report
+    from hitchin import theta
+    first = {"functional": True, "cross": True}
+    functional, cross = (theta.functional_equation_residual,
+                         theta.cross_square_residual)
+
+    def huge_once(ctx, z):
+        if first.pop("functional", False):
+            return 1e9
+        return functional(ctx, z)
+
+    def pole_once(ctx, z, w):
+        if first.pop("cross", False):
+            raise theta.PoleError("on the lattice")
+        return cross(ctx, z, w)
+
+    monkeypatch.setattr(theta, "functional_equation_residual", huge_once)
+    monkeypatch.setattr(theta, "cross_square_residual", pole_once)
+    assert run(["theta-check", "--points", "3", "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "theta-check.csv")
+    assert float(rows["functional_equation"]["residual"]) < 1e-10

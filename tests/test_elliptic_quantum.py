@@ -9,6 +9,7 @@ from hitchin.theta_expr import ThetaExpr
 from hitchin.elliptic_quantum import (
     EulerDiffOp,
     QuantumEllipticParams,
+    _lattice_conjugator,
     check_lattice_invariance,
     check_reduced_commutativity,
     check_s2_invariance,
@@ -162,6 +163,48 @@ class TestSymbols:
         assert res < 1e-9
 
 
+SITES = np.array([1.0, 1.7 + 0.3j, 0.6 - 0.9j])
+WEYL = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def nilpotent_exp(x):
+    """exp(x) for a nilpotent matrix x, as its finite power series."""
+    out = term = np.eye(len(x))
+    k = 0
+    while term.any():
+        k += 1
+        term = term @ x / k
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("weights", [[2, 2], [1, 2, 1], [3, 1]])
+def test_weyl_element_from_group_action(weights):
+    space = QuantumEllipticParams(CTX, 0, weights,
+                                  SITES[:len(weights)]).space
+    weyl = space.group_image(WEYL)
+    inv = np.linalg.inv(weyl)
+    series = np.eye(space.dim)
+    for i in range(1, len(weights) + 1):
+        e, f, h = (space.generator(g, i) for g in "efh")
+        assert np.abs(weyl @ e @ inv + f).max() < 1e-12
+        assert np.abs(weyl @ f @ inv + e).max() < 1e-12
+        assert np.abs(weyl @ h @ inv + h).max() < 1e-12
+        series = series @ nilpotent_exp(-e) @ nilpotent_exp(f) \
+            @ nilpotent_exp(-e)
+    assert np.abs(weyl - series).max() < 1e-12
+
+
+@pytest.mark.parametrize("weights", [[1, 1], [2, 2], [1, 2, 1], [3, 1]])
+def test_lattice_conjugator_is_diagonal_power(weights):
+    par = QuantumEllipticParams(CTX, 0, weights, SITES[:len(weights)])
+    ref = np.eye(par.dim)
+    for i, zi in enumerate(par.sites, start=1):
+        vals, vecs = np.linalg.eig(par.space.generator("h", i))
+        ref = ref @ vecs @ np.diag(zi ** (-vals / 2)) @ np.linalg.inv(vecs)
+    assert np.abs(_lattice_conjugator(par) - ref).max() < 1e-13
+
+
 class TestInvariances:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_twist_swap(self, k):
@@ -171,6 +214,14 @@ class TestInvariances:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_lattice_shift(self, k):
         par = two_site_params(k=k)
+        assert check_lattice_invariance(par, 0.83 + 0.4j,
+                                        1.13 + 0.21j) < 1e-10
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("weights", [[2, 2], [1, 2, 1], [3, 1]])
+    def test_larger_systems(self, weights, k):
+        par = QuantumEllipticParams(CTX, k, weights, SITES[:len(weights)])
+        assert check_s2_invariance(par, 0.83 + 0.4j, 1.13 + 0.21j) < 1e-10
         assert check_lattice_invariance(par, 0.83 + 0.4j,
                                         1.13 + 0.21j) < 1e-10
 
