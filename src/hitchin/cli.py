@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .numerics import check_distinct
 from .theta import PoleError, ThetaContext, TruncationError, redraw
 
 
@@ -35,8 +36,13 @@ def _parse_weights(text):
 
 
 def _parse_sites(text):
-    return [complex(s.replace(" ", "")) for s in str(text).split(",")
-            if s != ""]
+    """Comma-separated finite complex marked points, pairwise distinct;
+    an empty entry is malformed."""
+    sites = [complex(s.replace(" ", "")) for s in str(text).split(",")]
+    if not np.all(np.isfinite(sites)):
+        raise ValueError("sites must be finite, got %r" % text)
+    check_distinct(sites)
+    return sites
 
 
 # per-subcommand config schema: key -> (parser, default)
@@ -79,10 +85,11 @@ SCHEMAS = {
         "tol_invariance": (float, 1e-10),
     },
 }
-COMMON_KEYS = ("seed", "out")
+# keys every subcommand takes, with their parsers and defaults
+COMMON = {"seed": (int, 0), "out": (str, ".")}
 # smallest accepted value of each count, below which a check tests
 # nothing or cannot run (s_polynomials needs p_max >= 3)
-MINIMA = {"points": 1, "trials": 1, "twists": 1, "nsites": 1,
+MINIMA = {"seed": 0, "points": 1, "trials": 1, "twists": 1, "nsites": 1,
           ("rational-classical", "n"): 2, ("elliptic-classical", "n"): 1,
           ("rational-quantum", "p_max"): 3}
 
@@ -110,18 +117,14 @@ def resolve_config(name, raw, overrides):
     """Merge file values and CLI overrides against the subcommand
     schema; reject unknown keys.  Both are parsed here, so a bad value
     from either source is a ConfigError."""
-    schema = SCHEMAS[name]
+    schema = {**SCHEMAS[name], **COMMON}
     given = dict(raw)
     given.update((k, v) for k, v in overrides.items() if v is not None)
     cfg = {}
     for key, txt in given.items():
-        if key in COMMON_KEYS:
-            cfg[key] = txt
-            continue
         if key not in schema:
             raise ConfigError("unknown key %r for %s (known: %s)"
-                              % (key, name,
-                                 ", ".join(sorted(schema) + list(COMMON_KEYS))))
+                              % (key, name, ", ".join(sorted(schema))))
         parse, _ = schema[key]
         try:
             cfg[key] = parse(txt)
@@ -134,8 +137,6 @@ def resolve_config(name, raw, overrides):
         if low is not None and val < low:
             raise ConfigError("%r must be at least %d, got %d"
                               % (key, low, val))
-    cfg["seed"] = int(cfg.get("seed", 0))
-    cfg["out"] = str(cfg.get("out", "."))
     if "q" in cfg:
         try:
             ThetaContext(cfg["q"])
@@ -416,12 +417,7 @@ def build_parser():
     for name, schema in SCHEMAS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="KEY=VALUE file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="report directory")
-        p.add_argument("--tol", type=float, default=None)
-        for key in schema:
-            if key == "tol":
-                continue
+        for key in list(COMMON) + list(schema):
             p.add_argument("--%s" % key.replace("_", "-"), dest=key,
                            default=None)
     return parser

@@ -139,11 +139,12 @@ def commutator(a, b):
 
 
 def _site_matrices(params):
-    """Lists e, f, h of the sl2 generators at each site, read from the
-    images cached on the representation space."""
+    """The sl2 generators at each site as {(g, i): matrix}, g in "efh" and
+    i counted from 0, read from the images cached on the representation
+    space."""
     space = params.space
-    return ([space.generator(g, i) for i in range(1, space.nsites + 1)]
-            for g in "efh")
+    return {(g, i): space.generator(g, i + 1)
+            for g in "efh" for i in range(space.nsites)}
 
 
 def reduced_momentum(params):
@@ -167,7 +168,7 @@ def lax_quantum(params, z):
     for zi in params.sites:
         ctx.check_regular(z / zi)
     d = params.dim
-    e, f, h = _site_matrices(params)
+    mats = _site_matrices(params)
     tp1 = ThetaExpr.theta_prime_one()
     phat = reduced_momentum(params)
     L = np.empty((2, 2), dtype=object)
@@ -177,99 +178,109 @@ def lax_quantum(params, z):
     for i, zi in enumerate(params.sites):
         x = z / zi
         diag = diag + EulerDiffOp.function(ThetaExpr.u(x, 0) - 0.5,
-                                           0.5 * h[i])
+                                           0.5 * mats["h", i])
         L[0, 1] = L[0, 1] + EulerDiffOp.function(
-            kernel_expr(1.0, -2, x), e[i])
+            kernel_expr(1.0, -2, x), mats["e", i])
         L[1, 0] = L[1, 0] + EulerDiffOp.function(
-            kernel_expr(1.0, 2, x), f[i])
+            kernel_expr(1.0, 2, x), mats["f", i])
     L[0, 0] = diag.scale(1.0 / tp1)
     L[1, 1] = diag.scale(-1.0 / tp1)
     return L
+
+
+# name of the effective momentum p_hat - (1/2) sum_j h^(j) in a term list,
+# the operator version of the half-charge shift in the classical diagonal
+P = "p"
+
+
+def _trace_terms(params):
+    """The closed form of the expansion coefficients (H0, [H_i], [K_i],
+    [M_i]) of theta'(1)^2 tr L(z)^2 on the basis {1, u(z/z_i),
+    u(z/z_i)^2, wp(ln z/z_i)}, each a list of terms (c, x, y) meaning
+    c x y.
+
+    c is a number or a scalar theta expression in t; x and y name the
+    effective momentum P or a site generator (g, i) as _site_matrices
+    keys it.  Same-site quadratic terms are symmetrized (e f + f e) as
+    dictated by the operator trace.
+    """
+    ctx = params.ctx
+    N = len(params.weights)
+    zs = params.sites
+    h0 = [(0.5, P, P)]
+    his = [[(1.0, P, ("h", i))] for i in range(N)]
+    for i in range(N):
+        for j in range(N):
+            if j == i:
+                continue
+            w_ij = zs[i] / zs[j]
+            uw = ctx.theta_ratio(w_ij)
+            his[i] += [
+                (0.5 * (2.0 * uw - 1.0), ("h", i), ("h", j)),
+                (2.0 * sigma_expr(1.0, 2, w_ij), ("e", i), ("f", j)),
+                (2.0 * sigma_expr(1.0, -2, w_ij), ("f", i), ("e", j))]
+            h0 += [
+                (-0.25 * (ctx.wp(w_ij) - uw ** 2 + uw - 0.25),
+                 ("h", i), ("h", j)),
+                ((ThetaExpr.u(w_ij, 2) - ThetaExpr.u(1.0, 2))
+                 * sigma_expr(1.0, 2, w_ij), ("e", i), ("f", j)),
+                ((ThetaExpr.u(w_ij, -2) - ThetaExpr.u(1.0, -2))
+                 * sigma_expr(1.0, -2, w_ij), ("f", i), ("e", j))]
+    for i in range(N):
+        h0 += [(-ThetaExpr.wp(1.0, 2), ("e", i), ("f", i)),
+               (-ThetaExpr.wp(1.0, 2), ("f", i), ("e", i))]
+    kis = [[(0.5, ("h", i), ("h", j)) for j in range(N)] for i in range(N)]
+    mis = [[(1.0, ("e", i), ("f", i)), (1.0, ("f", i), ("e", i))]
+           + [(-0.5, ("h", i), ("h", j)) for j in range(N) if j != i]
+           for i in range(N)]
+    return h0, his, kis, mis
 
 
 def quantum_hamiltonians(params):
     """Hamiltonians of the quantum system, as Euler-differential
     operators on the tensor product of site representations.
 
-    Returns (H0, [H_i], [K_i], [M_i]): the expansion coefficients of
-    theta'(1)^2 tr L(z)^2 on the basis {1, u(z/z_i), u(z/z_i)^2,
-    wp(ln z/z_i)}.  Same-site quadratic terms are symmetrized
-    (e f + f e) as dictated by the operator trace.
+    Returns (H0, [H_i], [K_i], [M_i]), the expansion coefficients of
+    theta'(1)^2 tr L(z)^2 read off the term lists of _trace_terms: a site
+    generator is its matrix, P is reduced_momentum - (1/2) sum_j h^(j),
+    and a term (c, x, y) is c times the composition x y.
     """
-    ctx = params.ctx
-    N = len(params.weights)
-    zs = params.sites
-    e, f, h = _site_matrices(params)
-    u = ctx.theta_ratio
-    # effective momentum p_hat - (1/2) sum_j h^(j), the operator version
-    # of the half-charge shift in the classical diagonal
+    mats = _site_matrices(params)
     pe = reduced_momentum(params)
-    for j in range(N):
-        pe = pe - EulerDiffOp.function(0.5, h[j])
+    for i in range(len(params.weights)):
+        pe = pe - EulerDiffOp.function(0.5, mats["h", i])
 
-    his = []
-    for i in range(N):
-        op = pe @ EulerDiffOp.function(1.0, h[i])
-        for j in range(N):
-            if j == i:
-                continue
-            w_ij = zs[i] / zs[j]
-            op = op + EulerDiffOp.function(
-                0.5 * (2.0 * u(w_ij) - 1.0), h[i] @ h[j])
-            op = op + EulerDiffOp.function(
-                2.0 * sigma_expr(1.0, 2, w_ij), e[i] @ f[j])
-            op = op + EulerDiffOp.function(
-                2.0 * sigma_expr(1.0, -2, w_ij), f[i] @ e[j])
-        his.append(op)
+    def read(terms):
+        op = EulerDiffOp(params.dim)
+        for c, x, y in terms:
+            if x == P:
+                right = pe if y == P else EulerDiffOp.function(1.0, mats[y])
+                op = op + (pe @ right).scale(c)
+            else:
+                op = op + EulerDiffOp.function(c, mats[x] @ mats[y])
+        return op
 
-    h0 = (pe @ pe).scale(0.5)
-    for i in range(N):
-        for j in range(N):
-            if j == i:
-                continue
-            w_ij = zs[i] / zs[j]
-            uw = u(w_ij)
-            block = ctx.wp(w_ij) - uw ** 2 + uw - 0.25
-            h0 = h0 + EulerDiffOp.function(-0.25 * block, h[i] @ h[j])
-            h0 = h0 + EulerDiffOp.function(
-                (ThetaExpr.u(w_ij, 2) - ThetaExpr.u(1.0, 2))
-                * sigma_expr(1.0, 2, w_ij), e[i] @ f[j])
-            h0 = h0 + EulerDiffOp.function(
-                (ThetaExpr.u(w_ij, -2) - ThetaExpr.u(1.0, -2))
-                * sigma_expr(1.0, -2, w_ij), f[i] @ e[j])
-    for i in range(N):
-        h0 = h0 + EulerDiffOp.function(
-            -ThetaExpr.wp(1.0, 2), e[i] @ f[i] + f[i] @ e[i])
-
-    totalh = sum(h[j] for j in range(N))
-    kis = [EulerDiffOp.function(0.5, h[i] @ totalh) for i in range(N)]
-    mis = [EulerDiffOp.function(
-        1.0, 0.5 * h[i] @ h[i] + e[i] @ f[i] + f[i] @ e[i]
-        - 0.5 * h[i] @ totalh) for i in range(N)]
-    return h0, his, kis, mis
+    h0, his, kis, mis = _trace_terms(params)
+    return (read(h0), [read(ts) for ts in his], [read(ts) for ts in kis],
+            [read(ts) for ts in mis])
 
 
 def ordering_counterterm(params):
     """Reordering correction to the quadratic Hamiltonian.
 
     Returns the operator sum_{i != j} (D sigma_{t^2}(z_i/z_j)) e_i f_j,
-    the commutator [D, sum sigma_{t^2}(z_i/z_j) e_i f_j].  Added to the
-    constant trace coefficient it makes the family commute on the
-    weight-zero subspace; being a commutator of the derivative with a
-    function it does not contribute at leading (classical) order.
+    the commutator [D, sum sigma_{t^2}(z_i/z_j) e_i f_j].  Since
+    D sigma_{t^2}(w) = 2 (u(w t^2) - u(t^2)) sigma_{t^2}(w), it is twice
+    the e_i f_j terms of H0.  Added to the constant trace coefficient it
+    makes the family commute on the weight-zero subspace; being a
+    commutator of the derivative with a function it does not contribute
+    at leading (classical) order.
     """
-    d = params.dim
-    e, f, _ = _site_matrices(params)
-    zs = params.sites
-    q = EulerDiffOp(d)
-    for i in range(len(zs)):
-        for j in range(len(zs)):
-            if j == i:
-                continue
-            w_ij = zs[i] / zs[j]
-            q = q + EulerDiffOp.function(
-                2.0 * (ThetaExpr.u(w_ij, 2) - ThetaExpr.u(1.0, 2))
-                * sigma_expr(1.0, 2, w_ij), e[i] @ f[j])
+    mats = _site_matrices(params)
+    q = EulerDiffOp(params.dim)
+    for c, x, y in _trace_terms(params)[0]:
+        if x[0] == "e" and y[0] == "f" and x[1] != y[1]:
+            q = q + EulerDiffOp.function(2.0 * c, mats[x] @ mats[y])
     return q
 
 
@@ -370,68 +381,42 @@ def symbol_data(params, rng):
     return redraw(draw)
 
 
-def _scalar_hamiltonians(params, sym, p, t):
-    """Symbols of the quantum Hamiltonians: the same closed-form template
-    with D replaced by p/2 (the symbol of the reduced momentum is
-    p = p_1 - p_2), the k-shift dropped (it is subprincipal), and site
-    operators replaced by the commuting scalars (e_i, f_i, h_i) =
-    sym[i]."""
-    ctx = params.ctx
-    N = len(params.weights)
-    zs = params.sites
-    u = ctx.theta_ratio
-    sig = ctx.sigma
-    ev, fv, hv = sym[:, 0], sym[:, 1], sym[:, 2]
-    t2 = t * t
-    pe = p - 0.5 * np.sum(hv)
-    his = []
-    for i in range(N):
-        val = pe * hv[i]
-        for j in range(N):
-            if j == i:
-                continue
-            w_ij = zs[i] / zs[j]
-            val += 0.5 * hv[i] * hv[j] * (2.0 * u(w_ij) - 1.0)
-            val += 2.0 * ev[i] * fv[j] * sig(t2, w_ij)
-            val += 2.0 * fv[i] * ev[j] * sig(1.0 / t2, w_ij)
-        his.append(val)
-    h0 = 0.5 * pe ** 2
-    for i in range(N):
-        for j in range(N):
-            if j == i:
-                continue
-            w_ij = zs[i] / zs[j]
-            uw = u(w_ij)
-            block = ctx.wp(w_ij) - uw ** 2 + uw - 0.25
-            h0 -= 0.25 * hv[i] * hv[j] * block
-            h0 += ev[i] * fv[j] * (u(t2 * w_ij) - u(t2)) * sig(t2, w_ij)
-            h0 += fv[i] * ev[j] * (u(w_ij / t2) - u(1.0 / t2)) \
-                * sig(1.0 / t2, w_ij)
-        h0 -= 2.0 * ev[i] * fv[i] * ctx.wp(t2)
-    sumh = np.sum(hv)
-    kis = [0.5 * hv[i] * sumh for i in range(N)]
-    mis = [0.5 * hv[i] ** 2 + 2.0 * ev[i] * fv[i] - 0.5 * hv[i] * sumh
-           for i in range(N)]
-    return h0, his, kis, mis
+def _symbol(terms, vals, ctx, t):
+    """Value of a term list of _trace_terms with the names read as the
+    scalars vals and each theta-expression coefficient evaluated at t."""
+    return sum((c(ctx, t) if isinstance(c, ThetaExpr) else c)
+               * vals[x] * vals[y] for c, x, y in terms)
 
 
 def symbol_residual(params, rng, samples=20):
     """Max relative deviation between the symbols of the quantum
     Hamiltonians and the classical expansion coefficients at random
-    reduced phase points."""
+    reduced phase points.
+
+    The symbols read the term lists that quantum_hamiltonians composes:
+    D -> p/2 (the symbol of the reduced momentum is p = p_1 - p_2), the
+    k-shift of reduced_momentum dropped (it is subprincipal), and the
+    site generators replaced by the commuting scalars
+    (e_i, f_i, h_i) = sym[i].
+    """
     from .elliptic_classical import hamiltonians_elliptic
+    ctx = params.ctx
+    h0, *site_terms = _trace_terms(params)
     worst = 0.0
     for _ in range(samples):
         point, sym = symbol_data(params, rng)
         t = point.t[0]
-        p = 2.0 * point.p[0]
+        p = point.p[0] - point.p[1]
+        vals = {(g, i): sym[i, a]
+                for i in range(len(sym)) for a, g in enumerate("efh")}
+        # p_hat = 2D + 2k u(t^2) with D -> p/2, the k-shift dropped
+        vals[P] = 2.0 * (p / 2.0) - 0.5 * np.sum(sym[:, 2])
         cl = hamiltonians_elliptic(point)
-        h0, his, kis, mis = _scalar_hamiltonians(params, sym, p, t)
         scale = max(abs(cl.h0), np.abs(cl.h).max(), 1.0)
-        worst = max(worst, abs(h0 - cl.h0) / scale)
-        worst = max(worst, np.abs(np.array(his) - cl.h).max() / scale)
-        worst = max(worst, np.abs(np.array(kis) - cl.k).max() / scale)
-        worst = max(worst, np.abs(np.array(mis) - cl.m).max() / scale)
+        worst = max(worst, abs(_symbol(h0, vals, ctx, t) - cl.h0) / scale)
+        for lists, ref in zip(site_terms, (cl.h, cl.k, cl.m)):
+            got = np.array([_symbol(ts, vals, ctx, t) for ts in lists])
+            worst = max(worst, np.abs(got - ref).max() / scale)
     return worst
 
 

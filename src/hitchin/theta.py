@@ -95,7 +95,7 @@ class ThetaContext:
 
     def __init__(self, q, tol=1e-14, max_terms=10000, pole_guard=1e-8):
         q = complex(q)
-        if abs(q) >= 1.0:
+        if not abs(q) < 1.0:
             raise ValueError("need |q| < 1, got |q| = %g" % abs(q))
         self.q = q
         self.tol = float(tol)

@@ -201,17 +201,37 @@ def read_rows(path):
     ["elliptic-quantum", "--weights", "1,,1"],
     ["rational-quantum", "--weights", "1,-1,1"],
     ["rational-quantum", "--weights", "1,,1"],
+    ["theta-check", "--seed", "x"],
+    ["theta-check", "--seed", "-1"],
+    ["theta-check", "--tol", "x"],
+    ["rational-quantum", "--weights", "1,1,1", "--sites", "0,,1,3"],
+    ["rational-quantum", "--sites", "1,1,3"],
+    ["rational-quantum", "--sites", "nan,1,3"],
+    ["theta-check", "--q", "nan"],
 ], ids=["q_outside_disc", "q_truncation", "one_weight", "no_trials",
         "negative_trials", "no_sites", "no_coefficient", "ec_no_points",
         "theta_no_points", "no_twists", "ec_no_matrices", "short_s_series",
         "eq_negative_weight", "eq_empty_weight", "rq_negative_weight",
-        "rq_empty_weight"])
+        "rq_empty_weight", "seed_not_int", "negative_seed", "tol_not_float",
+        "rq_empty_site", "rq_repeated_site", "rq_nan_site", "q_nan"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     code = run(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_bad_seed_in_config_file_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text("seed=x\n")
+    code = run(["theta-check", "--config", str(path),
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip().splitlines() == [
+        "config error: bad value for 'seed': invalid literal for int() "
+        "with base 10: 'x'"]
 
 
 @pytest.mark.parametrize("text", ["1,-1", "1,,1", "1,1,", ""])

@@ -155,12 +155,28 @@ class TestCommutativity:
         assert len(his) == len(kis) == len(mis) == 2
 
 
+SYMBOL_CASES = [pytest.param([1, 1], k, id=str(k)) for k in (0, 2)] + [
+    pytest.param(w, k, id="%s-%d" % ("".join(map(str, w)), k))
+    for w in ([2, 2], [1, 2, 1], [3, 1]) for k in (0, 1, 2)]
+
+
 class TestSymbols:
-    @pytest.mark.parametrize("k", [0, 2])
-    def test_symbols_match_classical_coefficients(self, k):
-        par = two_site_params(k=k)
+    @pytest.mark.parametrize("weights,k", SYMBOL_CASES)
+    def test_symbols_match_classical_coefficients(self, weights, k):
+        par = QuantumEllipticParams(ThetaContext(0.3), k, weights,
+                                    SITES[:len(weights)])
         res = symbol_residual(par, np.random.default_rng(7), samples=20)
         assert res < 1e-9
+
+    def test_symbols_read_the_operator_terms(self, monkeypatch):
+        # a wrong sigma term in the operators must show in the symbol check
+        import hitchin.elliptic_quantum as eq
+        sigma = eq.sigma_expr
+        monkeypatch.setattr(eq, "sigma_expr",
+                            lambda *args: 2.0 * sigma(*args))
+        res = symbol_residual(two_site_params(), np.random.default_rng(7),
+                              samples=5)
+        assert res > 1e-6
 
 
 SITES = np.array([1.0, 1.7 + 0.3j, 0.6 - 0.9j])
