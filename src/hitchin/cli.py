@@ -45,44 +45,52 @@ def _parse_sites(text):
     return sites
 
 
+def _parse_tol(text):
+    """A tolerance: a finite float >= 0 (0 marks an exact check)."""
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tolerance must be finite and >= 0, got %r" % text)
+    return tol
+
+
 # per-subcommand config schema: key -> (parser, default)
 SCHEMAS = {
     "theta-check": {
         "q": (complex, 0.3),
         "points": (int, 100),
-        "tol": (float, 1e-10),
+        "tol": (_parse_tol, 1e-10),
     },
     "rational-classical": {
         "n": (int, 2),
         "nsites": (int, 3),
         "trials": (int, 3),
-        "tol": (float, 1e-8),
-        "tol_oracle": (float, 1e-6),
-        "tol_flow": (float, 1e-8),
+        "tol": (_parse_tol, 1e-8),
+        "tol_oracle": (_parse_tol, 1e-6),
+        "tol_flow": (_parse_tol, 1e-8),
     },
     "rational-quantum": {
         "weights": (_parse_weights, [1, 1, 1]),
         "sites": (_parse_sites, None),
         "n": (int, 3),
         "p_max": (int, 20),
-        "tol": (float, 1e-12),
+        "tol": (_parse_tol, 1e-12),
     },
     "elliptic-classical": {
         "q": (complex, 0.3),
         "n": (int, 2),
         "nsites": (int, 2),
         "points": (int, 50),
-        "tol": (float, 1e-9),
-        "tol_bracket": (float, 1e-8),
+        "tol": (_parse_tol, 1e-9),
+        "tol_bracket": (_parse_tol, 1e-8),
     },
     "elliptic-quantum": {
         "q": (complex, 0.3),
         "k": (int, 0),
         "weights": (_parse_weights, [1, 1]),
         "twists": (int, 10),
-        "tol": (float, 1e-8),
-        "tol_symbol": (float, 1e-9),
-        "tol_invariance": (float, 1e-10),
+        "tol": (_parse_tol, 1e-8),
+        "tol_symbol": (_parse_tol, 1e-9),
+        "tol_invariance": (_parse_tol, 1e-10),
     },
 }
 # keys every subcommand takes, with their parsers and defaults

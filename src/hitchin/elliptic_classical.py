@@ -7,7 +7,7 @@ marked points z_i on the annulus.  Poisson structure: {p_a, t_b} = delta_ab
 t_b, Kostant-Kirillov brackets on each eta^(i), all cross brackets zero.
 
 The Lax matrix is built from the theta kernel K_t(x) and the logarithmic
-derivative u = theta_dot/theta.  Its diagonal carries u(z/z_i) - 1/2, the
+derivative u = z theta'/theta.  Its diagonal carries u(z/z_i) - 1/2, the
 unique shift for which the quadratic bracket tensor closes on an
 (r, rho)-pair; u - 1/2 is also the odd part of u under x -> 1/x.
 
@@ -134,8 +134,7 @@ def _twist_table(t, f):
 def _kernel_dlog(ctx, x, k=0):
     """T -> D^k [u(T x) - u(T)], D = T d/dT; at k = 0 this is
     T d/dT log K_T(x)."""
-    return lambda T: (ctx.theta_ratio_deriv(T * x, k)
-                      - ctx.theta_ratio_deriv(T, k))
+    return lambda T: ctx.theta_ratio(T * x, k) - ctx.theta_ratio(T, k)
 
 
 def _euler_t(table):
@@ -313,7 +312,7 @@ def _family_tables(point):
 def _family_tderiv_tables(point, S, X):
     """Euler derivatives t_c d/dt_c of the twist tables S, V = X S and W,
     stacked on a leading axis c.  With D = T d/dT: D sigma_T(w) = V,
-    D V = (Du(T w) - Du(T)) S + X V and D wp(ln T) = wp_deriv(T, 1)."""
+    D V = (Du(T w) - Du(T)) S + X V and D wp(ln T) = -D^2 u(T)."""
     ctx = point.ctx
     t, zs = point.t, point.sites
     DX = np.zeros_like(X)
@@ -321,7 +320,7 @@ def _family_tderiv_tables(point, S, X):
         DX[i, j] = _twist_table(t, _kernel_dlog(ctx, zs[i] / zs[j], 1))
     V = X * S
     return (_euler_t(V), _euler_t(DX * S + X * V),
-            _euler_t(_twist_table(t, lambda T: ctx.wp_deriv(T, 1))))
+            _euler_t(_twist_table(t, lambda T: -ctx.theta_ratio(T, 2))))
 
 
 def _twist_terms(S, V, W, eta1, eta2):

@@ -148,13 +148,11 @@ def _site_matrices(params):
 
 
 def reduced_momentum(params):
-    """p_hat = 2D + 2k u(t^2) acting on functions of the reduced twist."""
-    d = params.dim
-    op = EulerDiffOp.derivative(d).scale(2.0)
-    if params.k != 0:
-        op = op + EulerDiffOp.function(
-            2.0 * params.k * ThetaExpr.u(1.0, 2), np.eye(d))
-    return op
+    """p_hat = D + k u(t^2) acting on functions of the reduced twist: the
+    quantisation of p = p_1 - p_2, whose bracket with the twists (t, 1/t)
+    is {p, t} = t, with the same unit of action as the site generators."""
+    return EulerDiffOp.derivative(params.dim) + EulerDiffOp.function(
+        params.k * ThetaExpr.u(1.0, 2), np.eye(params.dim))
 
 
 def lax_quantum(params, z):
@@ -266,15 +264,15 @@ def quantum_hamiltonians(params):
 
 
 def ordering_counterterm(params):
-    """Reordering correction to the quadratic Hamiltonian.
-
-    Returns the operator sum_{i != j} (D sigma_{t^2}(z_i/z_j)) e_i f_j,
-    the commutator [D, sum sigma_{t^2}(z_i/z_j) e_i f_j].  Since
+    """The operator sum_{i != j} (D sigma_{t^2}(z_i/z_j)) e_i f_j, the
+    commutator [D, sum sigma_{t^2}(z_i/z_j) e_i f_j].  Since
     D sigma_{t^2}(w) = 2 (u(w t^2) - u(t^2)) sigma_{t^2}(w), it is twice
-    the e_i f_j terms of H0.  Added to the constant trace coefficient it
-    makes the family commute on the weight-zero subspace; being a
-    commutator of the derivative with a function it does not contribute
-    at leading (classical) order.
+    the e_i f_j terms of H0.
+
+    Not part of the commuting family: it compensated a momentum
+    quantised as 2D, and only for one site or two spin-1/2 sites.  It is
+    kept because the benchmark tracer (bench/tracer.py) wraps it by name,
+    and goes with the next change to the benchmark.
     """
     mats = _site_matrices(params)
     q = EulerDiffOp(params.dim)
@@ -285,20 +283,14 @@ def ordering_counterterm(params):
 
 
 def commuting_hamiltonians(params, ops=None):
-    """The commuting family [H0 + counterterm, H_1, ..., H_N].
-
-    The H_i are the trace coefficients; the quadratic coefficient H0
-    needs the reordering counterterm to commute with the H_i on the
-    weight-zero subspace.  Exact (machine precision) for a single site
-    of any weight and for two spin-1/2 sites, at any twist level; for
-    two sites of higher weight and for three or more sites a further
-    correction beyond this counterterm would be required (see the
-    module notes in check_reduced_commutativity).
+    """The commuting family [H0, H_1, ..., H_N]: the trace coefficients
+    themselves, with no reordering correction.  They commute on the
+    weight-zero subspace for any number of sites, weights and twist
+    level once the momentum is p_hat = D + k u(t^2) (reduced_momentum).
     """
     if ops is None:
         ops = quantum_hamiltonians(params)
-    h0, his = ops[0], ops[1]
-    return [h0 + ordering_counterterm(params)] + list(his)
+    return [ops[0]] + list(ops[1])
 
 
 def trace_expansion_residual(params, z, t, ops=None):
@@ -329,16 +321,11 @@ def check_reduced_commutativity(params, t_samples, exponents, ops=None):
     commuting family, twist samples and exponents.
 
     Reduction notes: the Cartan ideal kills weight-zero-valued trials,
-    so the commutators of the reduced family must vanish on them.  With
-    the reordering counterterm on H0 this holds to machine precision
-    for one site of any weight and for two spin-1/2 sites at any twist
-    level and modulus.  For two sites of higher weight and for three or
-    more sites, the counterterm that restores exact commutativity has
-    additional structure that is not determined here, and the returned
-    residual stays at order one; callers probing that regime should
-    treat the result as a measured obstruction, not a bug indicator.
-    Returns None when the weight-zero subspace is empty (odd total
-    weight): there is then nothing to test.
+    so the commutators of the reduced family must vanish on them, and
+    they do to machine precision for any number of sites and weights,
+    at any twist level and modulus; a residual of order one means the
+    operators are wrong.  Returns None when the weight-zero subspace is
+    empty (odd total weight): there is then nothing to test.
     """
     ctx = params.ctx
     fam = commuting_hamiltonians(params, ops=ops)
@@ -394,7 +381,7 @@ def symbol_residual(params, rng, samples=20):
     reduced phase points.
 
     The symbols read the term lists that quantum_hamiltonians composes:
-    D -> p/2 (the symbol of the reduced momentum is p = p_1 - p_2), the
+    D -> p (the symbol of the reduced momentum is p = p_1 - p_2), the
     k-shift of reduced_momentum dropped (it is subprincipal), and the
     site generators replaced by the commuting scalars
     (e_i, f_i, h_i) = sym[i].
@@ -409,8 +396,8 @@ def symbol_residual(params, rng, samples=20):
         p = point.p[0] - point.p[1]
         vals = {(g, i): sym[i, a]
                 for i in range(len(sym)) for a, g in enumerate("efh")}
-        # p_hat = 2D + 2k u(t^2) with D -> p/2, the k-shift dropped
-        vals[P] = 2.0 * (p / 2.0) - 0.5 * np.sum(sym[:, 2])
+        # p_hat = D + k u(t^2) with D -> p, the k-shift dropped
+        vals[P] = p - 0.5 * np.sum(sym[:, 2])
         cl = hamiltonians_elliptic(point)
         scale = max(abs(cl.h0), np.abs(cl.h).max(), 1.0)
         worst = max(worst, abs(_symbol(h0, vals, ctx, t) - cl.h0) / scale)

@@ -8,10 +8,9 @@ curve is C^x / q^Z with |q| < 1, and the basic building block is
 Derived objects:
 
 * ``theta_ratio`` -- the logarithmic derivative z theta'(z)/theta(z),
-  written u(z) below.
+  written u(z) below, and its Euler derivatives D^k u(z), D = z d/dz.
 * ``wp`` -- the Weierstrass-type function p(ln z) := -D u(z) + c(q),
-  where D = z d/dz and c(q) is fixed so p(tau) - 1/tau^2 -> 0 as
-  z = e^tau -> 1.
+  where c(q) is fixed so p(tau) - 1/tau^2 -> 0 as z = e^tau -> 1.
 * ``kernel`` -- K_t(x) = theta(t x) / (theta(t) theta(x)), the basic
   two-variable kernel of the elliptic Lax matrices, and its normalised
   variant ``sigma`` = theta'(1) K_t(x) which has residue 1 at x = 1.
@@ -230,17 +229,9 @@ class ThetaContext:
         terms[1:] += (-1.0) ** k * _horner(p, 1.0 / (1.0 - qi / z))
         return self._remember((z, k), np.cumsum(terms)[-1])
 
-    def theta_ratio(self, z):
-        """u(z) = z theta'(z) / theta(z)."""
-        return self._logderiv_terms(z, 0)
-
-    def theta_ratio_deriv(self, z, k):
-        """D^k u(z) with D = z d/dz (k = 0 gives u itself)."""
+    def theta_ratio(self, z, k=0):
+        """D^k u(z) for u(z) = z theta'(z) / theta(z) and D = z d/dz."""
         return self._logderiv_terms(z, k)
-
-    def theta_dot(self, z):
-        """theta-dot(z) = z theta'(z)."""
-        return self.theta_ratio(z) * self.theta(z)
 
     def wp_const(self):
         """c(q) = 1/12 - 2 sum_{i>=1} q^i/(1-q^i)^2, fixing wp ~ 1/tau^2."""
@@ -253,12 +244,6 @@ class ThetaContext:
     def wp(self, z):
         """p(ln z) = -D u(z) + c(q); even, elliptic, ~ 1/tau^2 at z=e^tau."""
         return -self._logderiv_terms(z, 1) + self.wp_const()
-
-    def wp_deriv(self, z, k):
-        """D^k p(ln z) (k = 0 gives wp itself)."""
-        if k == 0:
-            return self.wp(z)
-        return -self._logderiv_terms(z, k + 1)
 
     def kernel(self, t, x):
         """K_t(x) = theta(t x) / (theta(t) theta(x))."""
@@ -280,7 +265,7 @@ def wp_const_richardson(ctx, tau0=1e-2, levels=4):
     for j in range(levels):
         tau = tau0 / 2 ** j
         z = cmath.exp(tau)
-        vals.append(1.0 / tau ** 2 + ctx.theta_ratio_deriv(z, 1))
+        vals.append(1.0 / tau ** 2 + ctx.theta_ratio(z, 1))
     # Richardson for an even function: error series in tau^2
     for step in range(1, levels):
         fac = 4.0 ** step

@@ -2,20 +2,20 @@
 Euler derivative D = t d/dt, in a canonical sparse-polynomial form.
 
 A generator is a tuple (kind, c, m, order): ("t", 1, 1, 0) is t itself,
-("theta", c, m, 0) is theta(c t^m), ("u", c, m, 0) the logarithmic
-derivative u(c t^m) = theta_dot/theta, ("wp", c, m, k) the k-th Euler
-derivative of the normalized Weierstrass function wp(ln(c t^m)), and
-("wpconst", 1, 0, 0) and ("tp1", 1, 0, 0) the q-dependent constants
-c(q) of wp and theta'(1).  A monomial is a tuple of (generator, nonzero
-integer power) pairs sorted by their text, so products are taken in one
-fixed order whatever the interpreter's string hash seed.  An expression
-is a dict {monomial: coefficient}, like monomials merged and zero
-coefficients dropped; coefficients are numbers, or constant matrices in
-elliptic_quantum.  D acts by the product rule over the generators of a
-monomial, with
+("theta", c, m, 0) is theta(c t^m), ("u", c, m, k) the k-th Euler
+derivative D^k u(c t^m) of the logarithmic derivative u = z theta'/theta,
+and ("wpconst", 1, 0, 0) and ("tp1", 1, 0, 0) the q-dependent constants
+c(q) and theta'(1); the Weierstrass function wp(ln(c t^m)) =
+-D u(c t^m) + c(q) is built from them (ThetaExpr.wp).  A monomial is a
+tuple of (generator, nonzero integer power) pairs sorted by their text,
+so products are taken in one fixed order whatever the interpreter's
+string hash seed.  An expression is a dict {monomial: coefficient}, like
+monomials merged and zero coefficients dropped; coefficients are
+numbers, or constant matrices in elliptic_quantum.  D acts by the
+product rule over the generators of a monomial, with
 
     D t = t,   D theta(c t^m) = m u(c t^m) theta(c t^m),
-    D u(c t^m) = m (wp_const - wp(ln c t^m)),   D wp^(k) = m wp^(k+1).
+    D u^(k)(c t^m) = m u^(k+1)(c t^m).
 
 Expressions are evaluated against a ThetaContext at a numeric point, with
 one context call per distinct generator.
@@ -61,10 +61,7 @@ def _generator_euler(g):
         return [(((g, 1),), m)]
     if kind == "theta":
         return [(((("u", c, m, 0), 1), (g, 1)), m)]
-    if kind == "u":
-        return [(((("wpconst", 1 + 0j, 0, 0), 1),), m),
-                (((("wp", c, m, 0), 1),), -m)]
-    return [(((("wp", c, m, order + 1), 1),), m)]
+    return [(((("u", c, m, order + 1), 1),), m)]
 
 
 def _generator_value(g, ctx, t):
@@ -78,9 +75,7 @@ def _generator_value(g, ctx, t):
         return arg
     if kind == "theta":
         return ctx.theta(arg)
-    if kind == "u":
-        return ctx.theta_ratio(arg)
-    return ctx.wp(arg) if order == 0 else ctx.wp_deriv(arg, order)
+    return ctx.theta_ratio(arg, order)
 
 
 def _wrap(v):
@@ -121,12 +116,15 @@ class ThetaExpr:
         return ThetaExpr._generator("theta", c, m)
 
     @staticmethod
-    def u(c=1.0, m=1):
-        return ThetaExpr._generator("u", c, m)
+    def u(c=1.0, m=1, k=0):
+        """D^k u(c t^m)."""
+        return ThetaExpr._generator("u", c, m, k)
 
     @staticmethod
-    def wp(c=1.0, m=1, order=0):
-        return ThetaExpr._generator("wp", c, m, order)
+    def wp(c=1.0, m=1):
+        """wp(ln(c t^m)) = -D u(c t^m) + c(q), summed in that order, as
+        ThetaContext.wp sums it."""
+        return -ThetaExpr.u(c, m, 1) + ThetaExpr.wp_const()
 
     @staticmethod
     def wp_const():

@@ -208,13 +208,24 @@ def read_rows(path):
     ["rational-quantum", "--sites", "1,1,3"],
     ["rational-quantum", "--sites", "nan,1,3"],
     ["theta-check", "--q", "nan"],
+    ["theta-check", "--tol", "nan"],
+    ["theta-check", "--tol", "inf"],
+    ["theta-check", "--tol", "-1"],
+    ["elliptic-quantum", "--config", "tol_symbol=nan"],
 ], ids=["q_outside_disc", "q_truncation", "one_weight", "no_trials",
         "negative_trials", "no_sites", "no_coefficient", "ec_no_points",
         "theta_no_points", "no_twists", "ec_no_matrices", "short_s_series",
         "eq_negative_weight", "eq_empty_weight", "rq_negative_weight",
         "rq_empty_weight", "seed_not_int", "negative_seed", "tol_not_float",
-        "rq_empty_site", "rq_repeated_site", "rq_nan_site", "q_nan"])
+        "rq_empty_site", "rq_repeated_site", "rq_nan_site", "q_nan",
+        "tol_nan", "tol_inf", "negative_tol", "config_tol_nan"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    if "--config" in argv:
+        # the value after --config is the text of the file
+        at = argv.index("--config") + 1
+        path = tmp_path / "cfg.txt"
+        path.write_text(argv[at] + "\n")
+        argv = argv[:at] + [str(path)] + argv[at + 1:]
     code = run(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
@@ -232,6 +243,19 @@ def test_bad_seed_in_config_file_exits_2_with_one_line(tmp_path, capsys):
     assert err.strip().splitlines() == [
         "config error: bad value for 'seed': invalid literal for int() "
         "with base 10: 'x'"]
+
+
+@pytest.mark.parametrize("name,key", [
+    (name, key) for name, schema in cli.SCHEMAS.items()
+    for key in schema if key.startswith("tol")])
+def test_every_tolerance_rejects_nan(name, key):
+    with pytest.raises(cli.ConfigError, match="'%s'" % key):
+        cli.resolve_config(name, {key: "nan"}, {})
+
+
+def test_zero_tolerance_is_accepted():
+    cfg = cli.resolve_config("theta-check", {}, {"tol": "0"})
+    assert cfg["tol"] == 0.0
 
 
 @pytest.mark.parametrize("text", ["1,-1", "1,,1", "1,1,", ""])

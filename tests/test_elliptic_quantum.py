@@ -124,6 +124,16 @@ class TestCommutativity:
         res = check_reduced_commutativity(par, ts, [-2, -1, 0, 1, 2])
         assert res < 1e-8
 
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("q", [0.1, 0.3])
+    @pytest.mark.parametrize("weights", [[2, 2], [1, 2, 1], [1, 1, 1, 1]],
+                             ids=["22", "121", "1111"])
+    def test_larger_systems(self, weights, k, q):
+        par = QuantumEllipticParams(ThetaContext(q), k, weights,
+                                    FOUR_SITES[:len(weights)])
+        res = check_reduced_commutativity(par, T_SAMPLES, [-1, 0, 1])
+        assert res < 1e-12
+
     def test_counterterm_is_commutator_with_derivative(self):
         # Q = [D, B] with B = sum_{i!=j} sigma_{t^2}(z_i/z_j) e_i f_j
         from hitchin.theta_expr import sigma_expr
@@ -180,6 +190,7 @@ class TestSymbols:
 
 
 SITES = np.array([1.0, 1.7 + 0.3j, 0.6 - 0.9j])
+FOUR_SITES = np.append(SITES, -0.8 + 0.5j)
 WEYL = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
@@ -337,9 +348,20 @@ def reference_vectors(d):
             np.exp(0.7j * np.arange(d)))
 
 
+def doubled_momentum(params):
+    """p_hat = 2D + 2k u(t^2), the momentum REFERENCE was computed with."""
+    return EulerDiffOp.derivative(params.dim).scale(2.0) \
+        + EulerDiffOp.function(2.0 * params.k * ThetaExpr.u(1.0, 2),
+                               np.eye(params.dim))
+
+
 class TestReferenceValues:
     @pytest.mark.parametrize("weights,k", sorted(REFERENCE))
-    def test_apply_power_matches_reference(self, weights, k):
+    def test_apply_power_matches_reference(self, weights, k, monkeypatch):
+        # the references pin the expression engine, not the momentum
+        # convention: build the operators with the momentum they used
+        import hitchin.elliptic_quantum as eq
+        monkeypatch.setattr(eq, "reduced_momentum", doubled_momentum)
         par = QuantumEllipticParams(ThetaContext(0.3), k, list(weights),
                                     np.array([1.0, 1.7 + 0.3j]))
         h0, his, _, _ = quantum_hamiltonians(par)

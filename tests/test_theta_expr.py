@@ -24,7 +24,7 @@ def sample_exprs():
         ThetaExpr.u(1.0, 1),
         ThetaExpr.u(0.7j, 3),
         ThetaExpr.wp(1.2, 1),
-        ThetaExpr.wp(1.2, 2, order=1),
+        -ThetaExpr.u(1.2, 2, 2),
         ThetaExpr.wp_const(),
         ThetaExpr.theta_prime_one(),
         kernel_expr(1.0, 2, 0.8 + 0.3j),
@@ -44,6 +44,13 @@ class TestEvaluation:
         assert ThetaExpr.wp(1.0, 1)(CTX, t) == CTX.wp(t)
         assert ThetaExpr.wp_const()(CTX, t) == CTX.wp_const()
         assert ThetaExpr.theta_prime_one()(CTX, t) == CTX.theta_prime_one()
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_u_ladder_matches_context(self, k):
+        for c, m in ((1.0, 1), (0.7j, 3), (1.3, -2)):
+            for t in POINTS:
+                assert ThetaExpr.u(c, m, k)(CTX, t) \
+                    == CTX.theta_ratio(c * t ** m, k)
 
     def test_arithmetic(self):
         t = 0.9 - 0.4j
@@ -95,6 +102,13 @@ class TestEulerDerivative:
         lhs = ThetaExpr.theta(1.0, 1).euler()(CTX, t)
         rhs = CTX.theta_ratio(t) * CTX.theta(t)
         assert np.isclose(lhs, rhs, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_u_ladder_is_one_step(self, k):
+        # D u^(k)(c t^m) = m u^(k+1)(c t^m), one term
+        for c, m in ((1.0, 1), (0.7j, 3), (1.3, -2)):
+            assert ThetaExpr.u(c, m, k).euler().terms \
+                == (m * ThetaExpr.u(c, m, k + 1)).terms
 
     def test_constants_have_zero_derivative(self):
         for expr in (ThetaExpr.const(3.0), ThetaExpr.wp_const(),
