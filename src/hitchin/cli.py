@@ -147,6 +147,8 @@ def resolve_config(name, raw, overrides):
                               % (key, low, val))
     if "q" in cfg:
         try:
+            if cfg["q"] == 0:
+                raise ValueError("the curve C^x/q^Z needs q != 0")
             ThetaContext(cfg["q"])
         except ValueError as exc:
             raise ConfigError("bad value for 'q': %s" % exc)
@@ -210,7 +212,7 @@ def run_theta_check(cfg):
     worst = {}
     for _ in range(cfg["points"]):
         for name, val in redraw(sample).items():
-            worst[name] = max(worst.get(name, 0.0), val)
+            worst[name] = np.maximum(worst.get(name, 0.0), val)
     rows = [("theta_at_one", "q=%s" % _fmt(ctx.q),
              th.theta_one_residual(ctx), cfg["tol"])]
     for name in worst:
@@ -250,12 +252,12 @@ def run_rational_classical(cfg):
             # the trajectory escaped: nothing was conserved
             flow_worst = math.inf
             break
-        flow_worst = max(flow_worst, drift / scale)
+        flow_worst = np.maximum(flow_worst, drift / scale)
     return [
-        ("involutivity", "n=%d,N=%d" % (n, N), max(brackets, default=None),
-         cfg["tol"]),
+        ("involutivity", "n=%d,N=%d" % (n, N),
+         np.max(brackets) if brackets else None, cfg["tol"]),
         ("gradient_fd_oracle", "n=%d,N=%d" % (n, N),
-         max(oracle, default=None), cfg["tol_oracle"]),
+         np.max(oracle) if oracle else None, cfg["tol_oracle"]),
         ("flow_conservation", "d=2,N=%d" % N, flow_worst, cfg["tol_flow"]),
     ], None
 
@@ -275,8 +277,9 @@ def run_rational_quantum(cfg):
     system = rq.GaudinSystem(TensorRepSpace(weights), sites)
     hams, _ = rq.gaudin_residues(system)
     scale = max(1.0, max(np.abs(h).max() for h in hams))
-    comm = max(rq.commutator_norm(hams[i], hams[j]) / scale
-               for i in range(len(hams)) for j in range(i + 1, len(hams)))
+    comm = np.max([rq.commutator_norm(hams[i], hams[j]) / scale
+                   for i in range(len(hams))
+                   for j in range(i + 1, len(hams))])
     total = np.abs(sum(hams)).max() / scale
     # exact rationals need real sites; a decimal site is read as the
     # decimal its shortest repr shows, not as its binary float
@@ -327,8 +330,8 @@ def run_elliptic_classical(cfg):
         pt = ec.random_elliptic_point(n, N, cfg["q"], rng,
                                       moment=(done % 2 == 1))
         rmat, trace = redraw(lambda: sample(pt))
-        rmat_worst = max(rmat_worst, rmat)
-        trace_worst = max(trace_worst, trace)
+        rmat_worst = np.maximum(rmat_worst, rmat)
+        trace_worst = np.maximum(trace_worst, trace)
     bracket_worst = 0.0
     pairs = np.triu_indices(N + 1, 1)
     for trial in range(3):
@@ -337,8 +340,8 @@ def run_elliptic_classical(cfg):
         hscale = max(abs(hams.h0), max(abs(h) for h in hams.h), 1.0)
         fam = ec.hamiltonian_family
         brackets = ec.poisson_bracket(fam, fam, pt)
-        bracket_worst = max(bracket_worst,
-                            np.abs(brackets[pairs]).max() / hscale)
+        bracket_worst = np.maximum(bracket_worst,
+                                   np.abs(brackets[pairs]).max() / hscale)
     label = "n=%d,N=%d" % (n, N)
     return [
         ("dynamical_rmatrix", label, rmat_worst, cfg["tol"]),

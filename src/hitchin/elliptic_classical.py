@@ -2,20 +2,22 @@
 and quadratic Hamiltonians.
 
 Phase space coordinates: momenta p_a, multiplicative twists t_a (one pair
-per matrix index a = 1..n) and N residue matrices eta^(i) attached to the
-marked points z_i on the annulus.  Poisson structure: {p_a, t_b} = delta_ab
-t_b, Kostant-Kirillov brackets on each eta^(i), all cross brackets zero.
+per matrix index a = 1..n) and N residue matrices eta^(i), one (N, n, n)
+array, at the marked points z_i on the annulus.  Poisson structure:
+{p_a, t_b} = delta_ab t_b, Kostant-Kirillov brackets on each eta^(i), all
+cross brackets zero.
 
 The Lax matrix is built from the theta kernel K_t(x) and the logarithmic
 derivative u = z theta'/theta.  Its diagonal carries u(z/z_i) - 1/2, the
 unique shift for which the quadratic bracket tensor closes on an
 (r, rho)-pair; u - 1/2 is also the odd part of u under x -> 1/x.
 
-Evaluation.  The Lax matrix, the bracket tensor and the Hamiltonians
-depend on the twists and sites only through tables of kernel, u and wp
-values at t_a^-1 t_b and at ratios of sites and spectral points, each
-read through the scalar theta leaf once per point; everything else is an
-array contraction of those tables with p and eta.
+Evaluation.  The Lax matrix, the bracket tensor, r, rho and the
+Hamiltonians read the twists and sites only through tables of kernel, u
+and wp values, each read through the scalar theta leaf once per point;
+the tables over T = t_a^-1 t_b at ratios x of sites and spectral points
+come from one builder, _ratio_tables.  Everything else is an array
+contraction of those tables with p and eta.
 """
 
 import json
@@ -30,36 +32,33 @@ class EllipticPhasePoint:
     """Point of the elliptic phase space.
 
     p: length-n complex momenta; t: length-n nonzero complex twists with
-    pairwise ratios off the lattice q^Z; eta: list of N complex n x n
-    matrices; sites: length-N nonzero complex marked points with pairwise
-    ratios off q^Z; ctx: ThetaContext carrying the modulus q.
+    pairwise ratios off the lattice q^Z; eta: complex array of shape
+    (N, n, n), one residue matrix per site; sites: length-N nonzero complex
+    marked points with pairwise ratios off q^Z; ctx: ThetaContext carrying
+    the modulus q.
     """
 
     def __init__(self, ctx, p, t, eta, sites):
         self.ctx = ctx
         self.p = np.asarray(p, dtype=complex)
         self.t = np.asarray(t, dtype=complex)
-        self.eta = [np.asarray(m, dtype=complex) for m in eta]
+        self.eta = np.asarray(eta, dtype=complex)
         self.sites = np.asarray(sites, dtype=complex)
-        n = self.p.shape[0]
+        self.n = n = self.p.shape[0]
+        self.nsites = self.sites.shape[0]
         if self.t.shape != (n,):
             raise ValueError("p and t must have the same length")
-        for m in self.eta:
-            if m.shape != (n, n):
-                raise ValueError("every eta matrix must be %d x %d" % (n, n))
+        if self.eta.shape != (self.nsites, n, n):
+            raise ValueError("eta must hold one %d x %d matrix per site"
+                             % (n, n))
         if np.any(self.t == 0) or np.any(self.sites == 0):
             raise ValueError("twists and sites must be nonzero")
         ctx.check_ratios(self.t)
         ctx.check_ratios(self.sites)
-        self.n = n
-        self.nsites = len(self.eta)
-        if self.nsites != self.sites.shape[0]:
-            raise ValueError("eta count must match site count")
 
     def charges(self):
         """Diagonal of the total residue, C_a = sum_i eta^(i)_aa."""
-        return np.array([sum(m[a, a] for m in self.eta)
-                         for a in range(self.n)])
+        return np.einsum("iaa->ia", self.eta).sum(axis=0)
 
     def copy_with(self, p=None, t=None, eta=None):
         return EllipticPhasePoint(self.ctx,
@@ -69,31 +68,20 @@ class EllipticPhasePoint:
                                   self.sites)
 
     def to_json(self):
-        def cplx(v):
-            return [float(np.real(v)), float(np.imag(v))]
+        """Every complex value as a trailing [re, im] pair."""
         return json.dumps({
-            "q": cplx(self.ctx.q),
-            "p": [cplx(v) for v in self.p],
-            "t": [cplx(v) for v in self.t],
-            "sites": [cplx(v) for v in self.sites],
-            "eta": [[[cplx(m[a, b]) for b in range(self.n)]
-                     for a in range(self.n)] for m in self.eta],
-        })
+            key: np.stack([v.real, v.imag], axis=-1).tolist()
+            for key, v in (("q", np.asarray(self.ctx.q)), ("p", self.p),
+                           ("t", self.t), ("sites", self.sites),
+                           ("eta", self.eta))})
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-
-        def cplx(v):
-            return complex(v[0], v[1])
-        ctx = ThetaContext(cplx(data["q"]))
-        eta = [np.array([[cplx(v) for v in row] for row in m])
-               for m in data["eta"]]
-        return cls(ctx,
-                   [cplx(v) for v in data["p"]],
-                   [cplx(v) for v in data["t"]],
-                   eta,
-                   [cplx(v) for v in data["sites"]])
+        data = {key: np.array(v, dtype=float)
+                for key, v in json.loads(text).items()}
+        q, p, t, sites, eta = (data[key][..., 0] + 1j * data[key][..., 1]
+                               for key in ("q", "p", "t", "sites", "eta"))
+        return cls(ThetaContext(q), p, t, eta, sites)
 
 
 def random_elliptic_point(n, nsites, q, rng, moment=False):
@@ -111,9 +99,7 @@ def random_elliptic_point(n, nsites, q, rng, moment=False):
         eta = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                for _ in range(nsites)]
         if moment:
-            total = sum(eta)
-            for a in range(n):
-                eta[-1][a, a] -= total[a, a]
+            eta[-1] -= np.diag(np.diag(sum(eta)))
         return EllipticPhasePoint(ctx, p, t, eta, sites)
     return redraw(draw)
 
@@ -131,10 +117,21 @@ def _twist_table(t, f):
     return out
 
 
-def _kernel_dlog(ctx, x, k=0):
-    """T -> D^k [u(T x) - u(T)], D = T d/dT; at k = 0 this is
-    T d/dT log K_T(x)."""
-    return lambda T: ctx.theta_ratio(T * x, k) - ctx.theta_ratio(T, k)
+def _ratio_tables(ctx, t, xs, orders=0):
+    """Twist tables at the ratios x_i, zero where a = b: K[i, a, b] =
+    K_T(x_i) and X[k, i, a, b] = D^k [u(T x_i) - u(T)] for k < orders,
+    with T = t_a^-1 t_b and D = T d/dT; X[0] is T d/dT log K_T(x_i)."""
+    n = len(t)
+    K = np.zeros((len(xs), n, n), dtype=complex)
+    X = np.zeros((orders, len(xs), n, n), dtype=complex)
+    for i, x in enumerate(xs):
+        for a, b in _pairs(n):
+            T = t[a] ** (-1) * t[b]
+            K[i, a, b] = ctx.kernel(T, x)
+            for k in range(orders):
+                X[k, i, a, b] = ctx.theta_ratio(T * x, k) \
+                    - ctx.theta_ratio(T, k)
+    return K, X
 
 
 def _euler_t(table):
@@ -147,22 +144,23 @@ def _euler_t(table):
     return sign.reshape((n,) + (1,) * (table.ndim - 2) + (n, n)) * table
 
 
-def _lax_table(point, z):
-    """Coefficient table of the Lax matrix at z: A[i, a, b] multiplies
-    eta^(i)_ab in xbar_ab(z).  It is K(t_a^-1 t_b, z/z_i) off the diagonal
-    and (u(z/z_i) - 1/2)/theta'(1) on it."""
+def _lax_table(point, z, orders=0):
+    """Coefficient table of the Lax matrix at z and the ratio tables X of
+    _ratio_tables at x_i = z/z_i: A[i, a, b] multiplies eta^(i)_ab in
+    xbar_ab(z).  It is K(t_a^-1 t_b, z/z_i) off the diagonal and
+    (u(z/z_i) - 1/2)/theta'(1) on it."""
     ctx = point.ctx
     n = point.n
-    A = np.empty((point.nsites, n, n), dtype=complex)
-    for i, x in enumerate(z / point.sites):
-        A[i] = _twist_table(point.t, lambda T: ctx.kernel(T, x))
+    xs = z / point.sites
+    A, X = _ratio_tables(ctx, point.t, xs, orders)
+    for i, x in enumerate(xs):
         A[i, range(n), range(n)] = (ctx.theta_ratio(x) - 0.5) \
             / ctx.theta_prime_one()
-    return A
+    return A, X
 
 
 def _lax(point, A):
-    return (np.einsum("iab,iab->ab", A, np.array(point.eta))
+    return (np.einsum("iab,iab->ab", A, point.eta)
             + np.diag(point.p) / point.ctx.theta_prime_one())
 
 
@@ -174,7 +172,7 @@ def lax_elliptic(point, z):
     / theta'(1).  Simple poles at the sites; quasi-periodic under z -> qz
     with multiplier Ad(diag t) up to the constant diagonal charge matrix.
     """
-    return _lax(point, _lax_table(point, z))
+    return _lax(point, _lax_table(point, z)[0])
 
 
 def r_matrix(ctx, z, w, t):
@@ -192,7 +190,7 @@ def r_matrix(ctx, z, w, t):
     ctx.check_regular(x)
     ab = np.arange(n * n).reshape(n, n)
     r = np.zeros((n * n, n * n), dtype=complex)
-    r[ab, ab.T] = _twist_table(t, lambda T: ctx.kernel(T, x))
+    r[ab, ab.T] = _ratio_tables(ctx, t, [x])[0][0]
     r[ab, ab] = -(ctx.theta_ratio(x) - 0.5) / ctx.theta_prime_one() \
         * (1.0 - np.eye(n))
     return r
@@ -210,30 +208,23 @@ def rho_matrix(ctx, z, w, t):
     ctx.check_regular(x)
     ab = np.arange(n * n).reshape(n, n)
     rho = np.zeros((n * n, n * n), dtype=complex)
-    rho[ab, ab.T] = -_twist_table(t, lambda T: ctx.kernel(T, x)) \
-        / ctx.theta_prime_one() * _twist_table(t, _kernel_dlog(ctx, x))
+    K, X = _ratio_tables(ctx, t, [x], 1)
+    rho[ab, ab.T] = -K[0] / ctx.theta_prime_one() * X[0, 0]
     return rho
 
 
-def _lax_tderiv_table(point, z, A):
-    """Euler derivatives t_c d/dt_c of the Lax table A at z, stacked on a
-    leading axis c, from t d/dt K_t(x) = [u(t x) - u(t)] K_t(x)."""
-    return _euler_t(A * np.array([_twist_table(point.t, _kernel_dlog(
-        point.ctx, x)) for x in z / point.sites]))
-
-
-def _bracket(point, z, w, Az, Aw):
+def _bracket(point, Az, Xz, Aw, Xw):
+    """The bracket tensor from the Lax tables at z and w (orders >= 1)."""
     n = point.n
-    eta = np.array(point.eta)
+    eta = point.eta
     eye = np.eye(n)
     # {eta_ab, eta_cd} = delta_cb eta_ad - delta_ad eta_cb on each site,
-    # and {p_a / theta'(1), A(t)} = t_a dA/dt_a / theta'(1)
+    # and {p_a / theta'(1), A(t)} = t_a dA/dt_a / theta'(1), where
+    # t d/dt K_t(x) = [u(t x) - u(t)] K_t(x)
     L = (np.einsum("iab,icd,cb,iad->acbd", Az, Aw, eye, eta)
          - np.einsum("iab,icd,ad,icb->acbd", Az, Aw, eye, eta)
-         + (np.einsum("ab,ajcd,jcd->acbd", eye,
-                      _lax_tderiv_table(point, w, Aw), eta)
-            - np.einsum("cd,ciab,iab->acbd", eye,
-                        _lax_tderiv_table(point, z, Az), eta))
+         + (np.einsum("ab,ajcd,jcd->acbd", eye, _euler_t(Aw * Xw[0]), eta)
+            - np.einsum("cd,ciab,iab->acbd", eye, _euler_t(Az * Xz[0]), eta))
          / point.ctx.theta_prime_one())
     return L.reshape(n * n, n * n)
 
@@ -246,7 +237,7 @@ def bracket_tensor(point, z, w):
     so the tensor follows from the coordinate brackets and the closed-form
     Euler derivatives of the kernel; no finite differences are involved.
     """
-    return _bracket(point, z, w, _lax_table(point, z), _lax_table(point, w))
+    return _bracket(point, *_lax_table(point, z, 1), *_lax_table(point, w, 1))
 
 
 def verify_dynamical_rmatrix(point, z, w):
@@ -254,14 +245,13 @@ def verify_dynamical_rmatrix(point, z, w):
     1 (x) xbar(w)] + rho ((Sum eta)_diag (x) 1 - 1 (x) (Sum eta)_diag):
     the max entry norm of the difference over max(1, max entry norm of
     the bracket tensor)."""
-    n = point.n
-    eye = np.eye(n)
-    Az, Aw = _lax_table(point, z), _lax_table(point, w)
-    L = _bracket(point, z, w, Az, Aw)
+    eye = np.eye(point.n)
+    Az, Xz = _lax_table(point, z, 1)
+    Aw, Xw = _lax_table(point, w, 1)
+    L = _bracket(point, Az, Xz, Aw, Xw)
     # xbar(z) (x) 1 + 1 (x) xbar(w), and the diagonal C_a - C_c
     X = (np.einsum("ab,cd->acbd", _lax(point, Az), eye)
-         + np.einsum("ab,cd->acbd", eye, _lax(point, Aw))).reshape(n * n,
-                                                                   n * n)
+         + np.einsum("ab,cd->acbd", eye, _lax(point, Aw))).reshape(L.shape)
     C = point.charges()
     D = np.diag(np.subtract.outer(C, C).ravel())
     r = r_matrix(point.ctx, z, w, point.t)
@@ -286,41 +276,37 @@ class EllipticHamiltonians:
         self.charges = charges
 
 
-def _family_tables(point):
+def _family_tables(point, orders):
     """Theta-leaf tables of the family, with w_ij = z_i/z_j and, as in the
     Lax matrix, T = t_a^-1 t_b: U[i, j] = 2 u(w_ij) - 1, B[i, j] =
     wp(ln w_ij) - u(w_ij)^2 + u(w_ij) - 1/4, S[i, j, a, b] = sigma_T(w_ij),
-    X[i, j, a, b] = u(T w_ij) - u(T) and W[a, b] = wp(ln T); each is zero
-    where i = j or a = b."""
+    X[k, i, j, a, b] = D^k [u(T w_ij) - u(T)] for k < orders and W[a, b] =
+    wp(ln T); each is zero where i = j or a = b."""
     ctx = point.ctx
     n, N = point.n, point.nsites
-    t, zs = point.t, point.sites
-    U = np.zeros((N, N), dtype=complex)
-    B = np.zeros((N, N), dtype=complex)
-    S = np.zeros((N, N, n, n), dtype=complex)
-    X = np.zeros((N, N, n, n), dtype=complex)
-    for i, j in _pairs(N):
-        w = zs[i] / zs[j]
+    U, B = np.zeros((2, N, N), dtype=complex)
+    ws = [point.sites[i] / point.sites[j] for i, j in _pairs(N)]
+    for (i, j), w in zip(_pairs(N), ws):
         uw = ctx.theta_ratio(w)
         U[i, j] = 2.0 * uw - 1.0
         B[i, j] = ctx.wp(w) - uw ** 2 + uw - 0.25
-        S[i, j] = _twist_table(t, lambda T: ctx.sigma(T, w))
-        X[i, j] = _twist_table(t, _kernel_dlog(ctx, w))
-    return U, B, S, X, _twist_table(t, ctx.wp)
+    K, Xw = _ratio_tables(ctx, point.t, ws, orders)
+    off = ~np.eye(N, dtype=bool)
+    S = np.zeros((N, N, n, n), dtype=complex)
+    S[off] = ctx.theta_prime_one() * K
+    X = np.zeros((orders, N, N, n, n), dtype=complex)
+    X[:, off] = Xw
+    return U, B, S, X, _twist_table(point.t, ctx.wp)
 
 
 def _family_tderiv_tables(point, S, X):
-    """Euler derivatives t_c d/dt_c of the twist tables S, V = X S and W,
-    stacked on a leading axis c.  With D = T d/dT: D sigma_T(w) = V,
-    D V = (Du(T w) - Du(T)) S + X V and D wp(ln T) = -D^2 u(T)."""
-    ctx = point.ctx
-    t, zs = point.t, point.sites
-    DX = np.zeros_like(X)
-    for i, j in _pairs(point.nsites):
-        DX[i, j] = _twist_table(t, _kernel_dlog(ctx, zs[i] / zs[j], 1))
-    V = X * S
-    return (_euler_t(V), _euler_t(DX * S + X * V),
-            _euler_t(_twist_table(t, lambda T: -ctx.theta_ratio(T, 2))))
+    """Euler derivatives t_c d/dt_c of the twist tables S, V = X[0] S and
+    W, stacked on a leading axis c.  With D = T d/dT: D sigma_T(w) = V,
+    D V = X[1] S + X[0] V and D wp(ln T) = -D^2 u(T)."""
+    V = X[0] * S
+    return (_euler_t(V), _euler_t(X[1] * S + X[0] * V),
+            _euler_t(_twist_table(point.t,
+                                  lambda T: -point.ctx.theta_ratio(T, 2))))
 
 
 def _twist_terms(S, V, W, eta1, eta2):
@@ -365,9 +351,9 @@ def hamiltonians_elliptic(point):
             + sum_{a != b} sum_{i != j} eta^(i)_ab eta^(j)_ba
               [u(t_a t_b^-1 w_ij) - u(t_a t_b^-1)] sigma_{t_a t_b^-1}(w_ij).
     """
-    U, B, S, X, W = _family_tables(point)
-    eta = np.array(point.eta)
-    fam = _family_form((U, B, S, X * S, W), point.p, eta, point.p, eta)
+    U, B, S, X, W = _family_tables(point, 1)
+    eta = point.eta
+    fam = _family_form((U, B, S, X[0] * S, W), point.p, eta, point.p, eta)
     charges = point.charges()
     k = np.einsum("iaa,a->i", eta, charges)
     m = np.einsum("iab,iba->i", eta, eta) - k
@@ -403,9 +389,9 @@ def _family_gradients(point):
     so the (p, eta) partials are the bilinear form against unit vectors;
     the t partials contract the Euler-derivative tables."""
     n, N = point.n, point.nsites
-    U, B, S, X, W = _family_tables(point)
-    tables = (U, B, S, X * S, W)
-    eta = np.array(point.eta)
+    U, B, S, X, W = _family_tables(point, 2)
+    tables = (U, B, S, X[0] * S, W)
+    eta = point.eta
     unit = np.eye(n + N * n * n)
     up, ueta = unit[:, :n], unit[:, n:].reshape(-1, N, n, n)
     g = _family_form(tables, up, ueta, point.p, eta) \
@@ -426,7 +412,7 @@ def _gradients(fun, point):
     the shape of fun's value.
     """
     n, N = point.n, point.nsites
-    x = np.concatenate([point.p, point.t, np.array(point.eta).ravel()])
+    x = np.concatenate([point.p, point.t, point.eta.ravel()])
     radii = 1e-2 * np.concatenate([np.ones(n), np.abs(point.t),
                                    np.ones(N * n * n)])
 
@@ -463,7 +449,7 @@ def poisson_bracket(f, g, point):
     shape = fp.shape[1:] + gp.shape[1:]
     fp, ft, gp, gt = (v.reshape(n, -1) for v in (fp, ft, gp, gt))
     feta, geta = (v.reshape(N, n, n, -1) for v in (feta, geta))
-    eta = np.array(point.eta)
+    eta = point.eta
     # tr(eta_i [G_i, F_i]) with F_i, G_i the transposed partial matrices
     val = (np.einsum("a,ak,al->kl", point.t, fp, gt)
            - np.einsum("a,ak,al->kl", point.t, ft, gp)

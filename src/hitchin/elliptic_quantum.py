@@ -129,9 +129,10 @@ def _at_power(vals, expn, dim):
 
 def _max_diff(a, b):
     """Largest entry of |a_m - b_m| over the degrees of two evaluated
-    operators {m: matrix}, a missing degree reading as zero."""
-    return max((np.abs(a.get(m, 0) - b.get(m, 0)).max()
-                for m in set(a) | set(b)), default=0.0)
+    operators {m: matrix}, a missing degree reading as zero; NaN if any
+    entry is NaN."""
+    return np.max([np.abs(a.get(m, 0) - b.get(m, 0)).max()
+                   for m in set(a) | set(b)], initial=0.0)
 
 
 def commutator(a, b):
@@ -344,9 +345,11 @@ def check_reduced_commutativity(params, t_samples, exponents, ops=None):
                 for m in exponents:
                     cv = _at_power(cvals, m, params.dim) @ vecs
                     pv = _at_power(pvals, m, params.dim) @ vecs
-                    worst = max(worst, np.linalg.norm(cv, axis=0).max())
-                    scale = max(scale, np.linalg.norm(pv, axis=0).max())
-    return worst / max(scale, 1.0)
+                    worst = np.maximum(
+                        worst, np.linalg.norm(cv, axis=0).max())
+                    scale = np.maximum(
+                        scale, np.linalg.norm(pv, axis=0).max())
+    return worst / np.maximum(scale, 1.0)
 
 
 def symbol_data(params, rng):
@@ -400,10 +403,11 @@ def symbol_residual(params, rng, samples=20):
         vals[P] = p - 0.5 * np.sum(sym[:, 2])
         cl = hamiltonians_elliptic(point)
         scale = max(abs(cl.h0), np.abs(cl.h).max(), 1.0)
-        worst = max(worst, abs(_symbol(h0, vals, ctx, t) - cl.h0) / scale)
+        worst = np.maximum(
+            worst, abs(_symbol(h0, vals, ctx, t) - cl.h0) / scale)
         for lists, ref in zip(site_terms, (cl.h, cl.k, cl.m)):
             got = np.array([_symbol(ts, vals, ctx, t) for ts in lists])
-            worst = max(worst, np.abs(got - ref).max() / scale)
+            worst = np.maximum(worst, np.abs(got - ref).max() / scale)
     return worst
 
 
@@ -436,7 +440,7 @@ def _lax_symmetry_residual(params, z, t, image, swap, shift, conj, factor):
                for m, mat in src.evaluate(ctx, image).items()}
         cand = {m: conj @ mat @ conj_inv
                 for m, mat in _shift_derivative(raw, shift).items()}
-        worst = max(worst, _max_diff(cand, ref))
+        worst = np.maximum(worst, _max_diff(cand, ref))
     return worst
 
 

@@ -314,7 +314,7 @@ def integrate_flow(point, key, T, dt, overflow=1e8):
     return trajectory, drift_max
 
 
-def random_nilpotent_point(n, N, rng, spread=1.0, moment=False):
+def random_nilpotent_point(n, N, rng, moment=False):
     """Random phase point with rank-1 nilpotent site matrices eta = v w^T.
 
     Sites are random complex numbers; with moment=True the last site matrix
@@ -323,8 +323,8 @@ def random_nilpotent_point(n, N, rng, spread=1.0, moment=False):
     """
     sites = []
     while len(sites) < N:
-        z = rng.normal(scale=spread) + 1j * rng.normal(scale=spread)
-        if all(abs(z - s) > 0.2 * spread for s in sites):
+        z = rng.normal() + 1j * rng.normal()
+        if all(abs(z - s) > 0.2 for s in sites):
             sites.append(z)
     eta = []
     for _ in range(N):

@@ -29,16 +29,14 @@ class GaudinSystem:
     n x n matrix acts directly.
     """
 
-    def __init__(self, space, sites, algebra=None):
+    def __init__(self, space, sites):
         if len(sites) != space.nsites:
             raise ValueError("site count must match tensor factor count")
         sites = [complex(z) for z in sites]
         check_distinct(sites)
         self.space = space
         self.sites = sites
-        if algebra is None:
-            algebra = MatrixAlgebra(space.n, "sl")
-        self.algebra = algebra
+        self.algebra = MatrixAlgebra(space.n, "sl")
 
     def rep_embed(self, x, i):
         """Site operator of the representation image of the algebra element x.

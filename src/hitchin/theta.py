@@ -68,6 +68,12 @@ class TruncationError(ThetaError):
     """The q-series would need more than max_terms terms to converge."""
 
 
+# Series are truncated once the remaining tail is below TOL, and an
+# argument within relative distance POLE_GUARD of the lattice q^Z raises
+# PoleError from any function with a pole or zero denominator there.
+TOL = 1e-14
+POLE_GUARD = 1e-8
+
 # Entries a context's memo holds before it is cleared.  One CLI operation
 # meets a few hundred to a few thousand distinct leaf arguments.
 _MEMO_CAP = 4096
@@ -83,23 +89,18 @@ def _horner(p, x):
 
 
 class ThetaContext:
-    """Evaluation context: nome q, tolerance, truncation and pole guards.
+    """Evaluation context: nome q and the series length limit; a series
+    that needs more than ``max_terms`` terms to get its tail below ``tol``
+    (TOL) raises TruncationError."""
 
-    Series are truncated once the remaining tail is provably below ``tol``;
-    if that takes more than ``max_terms`` terms a TruncationError is raised.
-    Arguments within relative distance ``pole_guard`` of the lattice q^Z
-    raise PoleError from any function that has a pole or zero denominator
-    there.
-    """
+    tol = TOL
 
-    def __init__(self, q, tol=1e-14, max_terms=10000, pole_guard=1e-8):
+    def __init__(self, q, max_terms=10000):
         q = complex(q)
         if not abs(q) < 1.0:
             raise ValueError("need |q| < 1, got |q| = %g" % abs(q))
         self.q = q
-        self.tol = float(tol)
         self.max_terms = int(max_terms)
-        self.pole_guard = float(pole_guard)
         self._theta_prime_one = None
         self._wp_const = None
         self._qpow = np.empty(0, dtype=complex)
@@ -137,7 +138,7 @@ class ThetaContext:
         return value
 
     def check_regular(self, z):
-        """Raise PoleError if z is within pole_guard of the lattice q^Z."""
+        """Raise PoleError if z is within POLE_GUARD of the lattice q^Z."""
         z = complex(z)
         key = (z, "regular")
         if key in self._memo:
@@ -146,20 +147,20 @@ class ThetaContext:
             raise PoleError("argument 0 is on the boundary of the annulus")
         aq = abs(self.q)
         if aq == 0.0:
-            if abs(z - 1.0) < self.pole_guard:
+            if abs(z - 1.0) < POLE_GUARD:
                 raise PoleError("argument within pole guard of 1")
         else:
             # only lattice points with modulus comparable to |z| can be close
             k0 = math.log(abs(z)) / math.log(aq)
             for k in range(int(math.floor(k0)) - 1, int(math.ceil(k0)) + 2):
                 w = self.q ** k
-                if abs(z - w) < self.pole_guard * abs(w):
+                if abs(z - w) < POLE_GUARD * abs(w):
                     raise PoleError("argument within pole guard of q^%d" % k)
         self._remember(key, True)
 
     def check_ratios(self, values):
         """Raise PoleError if the ratio of any two of the values is within
-        pole_guard of the lattice q^Z."""
+        POLE_GUARD of the lattice q^Z."""
         for i, a in enumerate(values):
             for j, b in enumerate(values):
                 if i != j:

@@ -212,13 +212,17 @@ def read_rows(path):
     ["theta-check", "--tol", "inf"],
     ["theta-check", "--tol", "-1"],
     ["elliptic-quantum", "--config", "tol_symbol=nan"],
+    ["theta-check", "--q", "0"],
+    ["elliptic-classical", "--q", "0"],
+    ["elliptic-quantum", "--q", "0"],
 ], ids=["q_outside_disc", "q_truncation", "one_weight", "no_trials",
         "negative_trials", "no_sites", "no_coefficient", "ec_no_points",
         "theta_no_points", "no_twists", "ec_no_matrices", "short_s_series",
         "eq_negative_weight", "eq_empty_weight", "rq_negative_weight",
         "rq_empty_weight", "seed_not_int", "negative_seed", "tol_not_float",
         "rq_empty_site", "rq_repeated_site", "rq_nan_site", "q_nan",
-        "tol_nan", "tol_inf", "negative_tol", "config_tol_nan"])
+        "tol_nan", "tol_inf", "negative_tol", "config_tol_nan", "tc_q_zero",
+        "ec_q_zero", "eq_q_zero"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     if "--config" in argv:
         # the value after --config is the text of the file

@@ -52,6 +52,9 @@ class TestPhasePoint:
         with pytest.raises(ValueError):
             EllipticPhasePoint(ctx, [1.0, 2.0], [1.0, 2.0],
                                [np.eye(3)], [1.0])
+        with pytest.raises(ValueError):
+            EllipticPhasePoint(ctx, [1.0, 2.0], [1.0, 2.0],
+                               [np.eye(2)], [1.0, 2.0])
 
     def test_zero_twist_rejected(self):
         ctx = ThetaContext(0.3)
@@ -78,6 +81,9 @@ class TestPhasePoint:
         assert np.allclose(back.t, pt.t)
         assert np.allclose(back.sites, pt.sites)
         assert all(np.allclose(a, b) for a, b in zip(back.eta, pt.eta))
+        # the text itself round-trips byte for byte
+        assert EllipticPhasePoint.from_json(
+            CLOSE_TWIST_POINT).to_json() == CLOSE_TWIST_POINT
 
     def test_moment_point_has_zero_charges(self):
         rng = np.random.default_rng(6)

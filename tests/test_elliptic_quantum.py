@@ -10,6 +10,7 @@ from hitchin.elliptic_quantum import (
     EulerDiffOp,
     QuantumEllipticParams,
     _lattice_conjugator,
+    _max_diff,
     check_lattice_invariance,
     check_reduced_commutativity,
     check_s2_invariance,
@@ -251,6 +252,17 @@ class TestInvariances:
         assert check_s2_invariance(par, 0.83 + 0.4j, 1.13 + 0.21j) < 1e-10
         assert check_lattice_invariance(par, 0.83 + 0.4j,
                                         1.13 + 0.21j) < 1e-10
+
+    def test_lattice_shift_at_q_zero_is_not_a_pass(self):
+        # the lattice image twist t/sqrt(q) is infinite at q = 0, so the
+        # Lax matrix there has NaN entries, which the residual must keep
+        par = two_site_params(q=0)
+        with np.errstate(all="ignore"):
+            res = check_lattice_invariance(par, 0.83 + 0.4j, 1.13 + 0.21j)
+        assert not (np.isfinite(res) and res < 1e-10)
+        # a NaN after a finite degree is kept too
+        assert np.isnan(_max_diff({0: np.zeros((2, 2)),
+                                   1: np.full((2, 2), np.nan)}, {}))
 
     def test_higher_weight_invariances(self):
         par = QuantumEllipticParams(CTX, 2, [2, 1],
