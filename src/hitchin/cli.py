@@ -9,6 +9,7 @@ the CSV bodies are byte-identical across repeated runs.
 """
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -413,6 +414,15 @@ def write_report(name, cfg, rows, ctx, outdir):
     if ctx is not None:
         meta["q"] = _fmt(ctx.q)
         meta["wp_const"] = _fmt(ctx.wp_const())
+        # the nome the theta series sum over (after the modular
+        # transformation, if one applies) and the terms they take at
+        # z = -1, where a point of the unit circle needs the most
+        meta["theta_leaf"] = {
+            "transformed": ctx.tau is not None,
+            "nome": _fmt(cmath.exp(ctx.log_nome)),
+            "log_nome": _fmt(ctx.log_nome),
+            "terms_on_unit_circle": ctx.series_terms(-1.0),
+        }
     with open(outdir / ("%s.json" % name), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

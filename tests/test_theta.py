@@ -288,26 +288,3 @@ def test_pole_guard_memo_is_per_context():
     a.check_regular(0.5)
     with pytest.raises(th.PoleError):
         b.check_regular(0.5)
-
-
-@pytest.mark.parametrize("q", [0.1, 0.3, 0.5 + 0.1j])
-def test_logderiv_series_bitwise_as_polyval(q):
-    # the Horner loop must reproduce np.polyval bit for bit, on every term
-    # array and on the summed leaf value the polyval form gave
-    c = th.ThetaContext(q)
-    rng = np.random.default_rng(31)
-    for k in range(5):
-        p = c._euler_poly(k)
-        for _ in range(20):
-            z = complex(np.exp(1j * rng.uniform(0, 2 * np.pi))
-                        * rng.uniform(0.6, 1.6))
-            qi = c._qpowers(c._nterms(abs(z) + 1.0 / abs(z) + 2.0))
-            plus = 1.0 / (1.0 - qi * z)
-            minus = 1.0 / (1.0 - qi / z)
-            for v in (plus, minus):
-                assert np.array_equal(th._horner(p, v), np.polyval(p, v))
-            terms = np.empty(len(qi) + 1, dtype=complex)
-            terms[0] = -np.polyval(p, 1.0 / (1.0 - z))
-            terms[1:] = (-np.polyval(p, plus)
-                         + (-1.0) ** k * np.polyval(p, minus))
-            assert c._logderiv_terms(z, k) == np.cumsum(terms)[-1]

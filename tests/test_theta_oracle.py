@@ -3,7 +3,9 @@
 The reference evaluates the product for theta and, for D^k u, the series
 of Euler derivatives of the terms y/(1-y), y = q^i z^(+-1): D^k of such a
 term is (+-1)^k Li_{-k}(y), written out with the Eulerian polynomials.
-It shares no code with ``hitchin.theta``.
+Where the product would need too many terms or digits, mpmath's Jacobi
+theta_1 is the second route (``theta1``).  Neither shares code with
+``hitchin.theta``.
 """
 
 import cmath
@@ -11,6 +13,7 @@ import cmath
 import pytest
 
 from hitchin import theta as th
+from test_theta import annulus_points
 
 mp = pytest.importorskip("mpmath")
 
@@ -141,3 +144,116 @@ def test_leaf_near_the_unit_circle():
                 err = float(rel_error(got, ref, floor))
                 worst[name] = max(worst.get(name, 0.0), err)
     assert all(err <= RTOL for err in worst.values()), worst
+
+
+def half_period_points(q):
+    """Points at relative distance 1e-2 from the half-periods -1 and
+    +-q^(1/2), where D^2 u vanishes (and u too, at +-q^(1/2))."""
+    r = q ** 0.5
+    return [h * cmath.exp(1e-2 * cmath.exp(1j * phi))
+            for h in (-1.0, r, -r) for phi in (0.7, 2.3)]
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5 + 0.1j],
+                         ids=["q0.1", "q0.3", "q0.5+0.1i"])
+def test_logderiv_relative_to_reference(q):
+    # D^k u judged relative to |reference| alone, also next to its zeros at
+    # the half-periods: a series whose terms are O(1) and cancel there (a
+    # sum at q itself) reads 1e-9 to 1e-5 on D^2 u at these points
+    ctx = th.ThetaContext(q)
+    worst = {}
+    with mp.workdps(DPS):
+        mq = mp.mpc(q)
+        for z in oracle_points(q)[:4] + half_period_points(q):
+            for k in range(4):
+                err = rel_error(ctx.theta_ratio(z, k),
+                                ref_logderiv(mq, mp.mpc(z), k), 0.0)
+                worst[k] = max(worst.get(k, 0.0), float(err))
+    assert all(err <= 1e-13 for err in worst.values()), worst
+
+
+def theta1(q, z, j=0):
+    """The j-th derivative of mpmath's Jacobi theta_1 at nu = log(z)/(2i)
+    and the nome q^(1/2): theta(z) is e^(i nu) theta_1(nu) times a factor
+    free of z, and D = (1/2i) d/dnu.  The theta_1 series converges in about
+    the square root of the terms the product needs."""
+    return mp.jtheta(1, mp.log(z) / 2j, mp.sqrt(q), j)
+
+
+def jtheta_logderiv(q, z):
+    """D^k u(z), k = 0..3, from the Euler derivatives of log theta_1,
+    written with the ratios r_j = theta_1^(j)/theta_1."""
+    t = [theta1(q, z, j) for j in range(5)]
+    r = [x / t[0] for x in t]
+    logs = [r[1], r[2] - r[1] ** 2, r[3] - 3 * r[1] * r[2] + 2 * r[1] ** 3,
+            r[4] - 4 * r[1] * r[3] - 3 * r[2] ** 2 + 12 * r[1] ** 2 * r[2]
+            - 6 * r[1] ** 4]
+    return [g / (2j) ** (k + 1) + (mp.mpf(1) / 2 if k == 0 else 0)
+            for k, g in enumerate(logs)]
+
+
+def test_logderiv_near_the_unit_circle_relative_to_reference():
+    # at q = 0.99 and 0.97 e^(0.4i), D^2 u = 1.166e-101 + 5.976e-101i and
+    # D^3 u = -3.7e-98 + 7.3e-99i, below terms of about 100 at q: a product
+    # reference would need 140 digits and 33,000 terms (20 s), so the
+    # reference is theta_1, which is about 1e-150 there and so runs at 300
+    # digits; it is first checked against the product reference at q = 0.3
+    with mp.workdps(DPS):
+        q, z = mp.mpf(0.3), mp.mpc(1.3 * cmath.exp(1.2j))
+        for k, ref in enumerate(jtheta_logderiv(q, z)):
+            assert rel_error(ref, ref_logderiv(q, z, k), 0.0) < 1e-25
+    q, z = 0.99, 0.97 * cmath.exp(0.4j)
+    ctx = th.ThetaContext(q)
+    with mp.workdps(300):
+        refs = jtheta_logderiv(mp.mpf(q), mp.mpc(z))
+        errs = [float(rel_error(ctx.theta_ratio(z, k), ref, 0.0))
+                for k, ref in enumerate(refs)]
+    assert max(errs) <= 1e-13, errs
+
+
+def test_kernel_matches_reference_at_the_identity_points():
+    # the theta-check identities are judged relative to their largest term,
+    # so the kernels inside them are gated here on their own: K_t(x) and
+    # t d/dt K_t(w) = (u(t w) - u(t)) K_t(w) at the sample points of
+    # test_theta.py::test_kernel_identities[q0.5+0.1i-B], whose terms reach
+    # 2.5e4, relative to |reference|.  The reference is theta_1, scaled to
+    # theta by the product reference at one point.
+    q = 0.5 + 0.1j
+    ctx = th.ThetaContext(q)
+    pts = annulus_points(q, 400, seed=11)
+    worst = {}
+    with mp.workdps(20):
+        mq = mp.mpc(q)
+        memo = {}
+
+        def d(z, j=0):
+            z = mp.mpc(z)
+            if (z, j) not in memo:
+                memo[z, j] = theta1(mq, z, j)
+            return memo[z, j]
+
+        def f(z):
+            return mp.sqrt(z) * d(z)
+
+        scale = ref_theta(mq, mp.mpc(1.3)) / f(1.3)
+
+        def kernel(t, x):
+            return f(mp.mpc(t) * x) / (scale * f(t) * f(x))
+
+        def u(z):
+            return 0.5 + d(z, 1) / (2j * d(z))
+
+        for i in range(100):
+            z, w, t, _ = pts[4 * i:4 * i + 4]
+            try:
+                pairs = [("K", ctx.kernel(a, b), kernel(a, b))
+                         for a, b in ((t, w), (1.0 / t, z / w), (t, z))]
+                dK = (ctx.theta_ratio(t * w) - ctx.theta_ratio(t)) \
+                    * ctx.kernel(t, w)
+            except th.PoleError:
+                continue
+            ref_dK = (u(mp.mpc(t) * w) - u(t)) * pairs[0][2]
+            for name, got, ref in pairs + [("t dK/dt", dK, ref_dK)]:
+                err = float(rel_error(got, ref, 0.0))
+                worst[name] = max(worst.get(name, 0.0), err)
+    assert all(err <= 1e-12 for err in worst.values()), worst
