@@ -243,8 +243,10 @@ def bracket_tensor(point, z, w):
 def verify_dynamical_rmatrix(point, z, w):
     """Residual of {xbar(z) (x), xbar(w)} = [r, xbar(z) (x) 1 +
     1 (x) xbar(w)] + rho ((Sum eta)_diag (x) 1 - 1 (x) (Sum eta)_diag):
-    the max entry norm of the difference over max(1, max entry norm of
-    the bracket tensor)."""
+    the max entry norm of the difference over max(1, the max entry norm
+    of the bracket tensor and of each of the three products on the
+    right), since those products cancel terms far larger than the
+    bracket at large q."""
     eye = np.eye(point.n)
     Az, Xz = _lax_table(point, z, 1)
     Aw, Xw = _lax_table(point, w, 1)
@@ -256,8 +258,10 @@ def verify_dynamical_rmatrix(point, z, w):
     D = np.diag(np.subtract.outer(C, C).ravel())
     r = r_matrix(point.ctx, z, w, point.t)
     rho = rho_matrix(point.ctx, z, w, point.t)
-    R = r @ X - X @ r + rho @ D
-    return float(np.abs(L - R).max() / max(np.abs(L).max(), 1.0))
+    rX, Xr, rhoD = r @ X, X @ r, rho @ D
+    scale = np.max([np.abs(m).max() for m in (L, rX, Xr, rhoD)],
+                   initial=1.0)
+    return float(np.abs(L - (rX - Xr + rhoD)).max() / scale)
 
 
 class EllipticHamiltonians:

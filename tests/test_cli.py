@@ -179,6 +179,21 @@ class TestRuns:
         assert (row["residual"], row["status"]) == ("n/a", "n/a")
 
 
+@pytest.mark.parametrize("command,checks", [
+    ("elliptic-classical", ["dynamical_rmatrix"]),
+    ("elliptic-quantum", ["twist_swap_invariance", "lattice_invariance"]),
+], ids=["classical", "quantum"])
+def test_identity_rows_pass_at_large_q(tmp_path, command, checks):
+    # at q = 0.9 the r-matrix identity cancels terms of size 1e25 and the
+    # quantum Lax entries reach 1e12: the rows are relative to those sizes
+    code = run([command, "--q", "0.9", "--seed", "2", "--out", str(tmp_path)])
+    rows = read_rows(tmp_path / ("%s.csv" % command))
+    for check in checks:
+        assert float(rows[check]["residual"]) < 1e-12
+        assert rows[check]["status"] == "pass"
+    assert code == 0
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return {r["check"]: r for r in csv.DictReader(fh)}

@@ -1,5 +1,7 @@
 """Tests for the quantum elliptic gl(2) system."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hitchin.theta_expr import ThetaExpr
 from hitchin.elliptic_quantum import (
     EulerDiffOp,
     QuantumEllipticParams,
+    _block_products,
     _lattice_conjugator,
     _max_diff,
     check_lattice_invariance,
@@ -134,6 +137,30 @@ class TestCommutativity:
                                     FOUR_SITES[:len(weights)])
         res = check_reduced_commutativity(par, T_SAMPLES, [-1, 0, 1])
         assert res < 1e-12
+
+    @pytest.mark.parametrize("weights,k", [([1, 1], 2), ([1, 2, 1], 1),
+                                           ([2, 2], 0)],
+                             ids=["11-2", "121-1", "22-0"])
+    def test_block_products_match_the_symbolic_product(self, weights, k):
+        # the numeric Leibniz product on the weight-zero block equals the
+        # symbolic product there, and the symbolic product's rows outside
+        # the block vanish exactly on weight-zero columns
+        par = QuantumEllipticParams(CTX, k, weights, SITES[:len(weights)])
+        fam = commuting_hamiltonians(par)
+        mask = par.space.weight_zero()
+        idx = np.flatnonzero(mask)
+        prods = {(a, b): fam[a] @ fam[b]
+                 for a, b in permutations(range(len(fam)), 2)}
+        numeric = _block_products(fam, idx, CTX, T_SAMPLES)
+        for t, got in zip(T_SAMPLES, numeric):
+            assert set(got) == set(prods)
+            for pair, prod in prods.items():
+                full = prod.evaluate(CTX, t)
+                block = {m: mat[np.ix_(idx, idx)] for m, mat in full.items()}
+                scale = max(np.abs(mat).max() for mat in block.values())
+                assert _max_diff(got[pair], block) <= 1e-13 * scale
+                for mat in full.values():
+                    assert not mat[np.ix_(~mask, idx)].any()
 
     def test_counterterm_is_commutator_with_derivative(self):
         # Q = [D, B] with B = sum_{i!=j} sigma_{t^2}(z_i/z_j) e_i f_j
