@@ -109,6 +109,24 @@ def _hitchin_plan(sites, d):
     return plan
 
 
+@functools.lru_cache(maxsize=128)
+def _gradient_weights(sites, d, a):
+    """Site weights of the gradient of H_{d,a}, read-only.
+
+    grad_i = sum_k B[i, k] eta(zeta_k)^(d-1) over the plan's nodes zeta_k,
+    with B[i, k] = d w_a[k] / (zeta_k - z_i).  At d = 2, eta(zeta_k) =
+    sum_j eta_j / (zeta_k - z_j) is linear in eta, so B folds with the node
+    reciprocals into the N x N matrix C, and grad_i = sum_j C[i, j] eta_j.
+    """
+    plan = _hitchin_plan(sites, d)
+    recip = 1.0 / (plan.nodes - np.array(sites)[:, None])
+    weights = d * plan.weights[plan.keys.index(a)] * recip
+    if d == 2:
+        weights = weights @ recip.T
+    weights.flags.writeable = False
+    return weights
+
+
 def _power_traces(point, d, nodes):
     """trace(eta(z)^d) at the nodes; the node axis comes first, then the
     batch axes of a batched point."""
@@ -162,7 +180,9 @@ class HitchinObservable:
     """One coefficient H_{d,a} as a scalar observable with analytic gradient.
 
     Only the extraction plan is needed: the coefficient is the row of the
-    pseudoinverse for a applied to the power traces at the plan's nodes.
+    pseudoinverse for a applied to the power traces at the plan's nodes,
+    and its gradient a fixed combination of eta(zeta)^(d-1) at those nodes
+    (see `_gradient_weights`).
     """
 
     def __init__(self, point, d, a, coeffs=None):
@@ -172,6 +192,7 @@ class HitchinObservable:
                 else coeffs.plans[self.d])
         self.row = plan.weights[plan.keys.index(self.a)]
         self.nodes = plan.nodes
+        self.site_weights = _gradient_weights(point.sites, self.d, self.a)
 
     def value(self, point):
         """H_{d,a} at the point; an array over the batch of a batched one."""
@@ -183,13 +204,14 @@ class HitchinObservable:
 
     def gradients(self, point):
         """Matrix gradients wrt each eta[i] under the pairing tr(grad . delta),
-        stacked over the sites."""
-        powers = np.linalg.matrix_power(lax_rational(point, self.nodes),
-                                        self.d - 1)
-        scaled = (self.row * self.d)[:, None, None, None] * powers[:, None]
-        dz = (self.nodes[:, None] - np.array(point.sites))[:, :, None, None]
-        # a reduction over the leading axis adds the nodes in order
-        return (scaled / dz).sum(axis=0)
+        stacked over the sites: one matrix product with the site weights."""
+        if self.d == 2:
+            terms = point.eta
+        else:
+            terms = np.linalg.matrix_power(lax_rational(point, self.nodes),
+                                           self.d - 1)
+        flat = self.site_weights @ terms.reshape(len(terms), -1)
+        return flat.reshape(point.eta.shape)
 
 
 def _numerical_gradients(f, point):

@@ -12,6 +12,7 @@ averages R(k)[:, m] R(k^-1)[m, :] once for every node and power.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -403,8 +404,10 @@ def gaudin_residues_exact(weights, sites):
 
     sites must be Fractions (or ints); returns object-dtype matrices of
     Fractions.  2 Omega_ij = h_i h_j + 2 e_i f_j + 2 f_i e_j is formed in
-    integer arithmetic from the site images of e, f, h; only the division
-    by z_i - z_j leaves the integers.
+    integer arithmetic from the site images of e, f, h.  Each H_i is summed
+    over one integer denominator, the lcm of the numerators of the
+    differences z_i - z_j, and becomes Fractions only entry by entry at
+    the end.
     """
     space = TensorRepSpace(weights)
     sites = [Fraction(z) for z in sites]
@@ -415,10 +418,14 @@ def gaudin_residues_exact(weights, sites):
                 for i in range(1, space.nsites + 1)] for g in "efh")
     hams = []
     for i, si in enumerate(sites):
-        ham = np.full((space.dim, space.dim), Fraction(0), dtype=object)
-        for j, sj in enumerate(sites):
-            if j != i:
-                two_omega = h[i] @ h[j] + 2 * (e[i] @ f[j] + f[i] @ e[j])
-                ham = ham + two_omega.astype(object) / (si - sj)
-        hams.append(ham)
+        diffs = [(j, si - sj) for j, sj in enumerate(sites) if j != i]
+        den = math.lcm(*(diff.numerator for _, diff in diffs))
+        num = np.zeros((space.dim, space.dim), dtype=object)
+        for j, diff in diffs:
+            two_omega = h[i] @ h[j] + 2 * (e[i] @ f[j] + f[i] @ e[j])
+            # 1 / (z_i - z_j) is this integer over den
+            num += two_omega.astype(object) * (diff.denominator
+                                               * (den // diff.numerator))
+        hams.append(np.array([[Fraction(v, den) for v in row] for row in num],
+                             dtype=object))
     return hams

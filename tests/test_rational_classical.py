@@ -177,32 +177,47 @@ def test_involutivity(n, N):
 
 
 def test_bracket_fd_oracle():
-    # analytic-gradient bracket agrees with the finite-difference route
+    # analytic-gradient bracket agrees with the Cauchy-ring route, at d = 2
+    # on gl2 and at d = 3 (paired with d = 3 and with d = 2) on gl3
     rng = np.random.default_rng(10)
-    pt = rc.random_nilpotent_point(2, 3, rng)
-    coeffs = rc.HitchinCoefficients(pt, [2])
-    keys = coeffs.keys()
-    f = rc.HitchinObservable(pt, keys[0][0], keys[0][1], coeffs)
-    g = rc.HitchinObservable(pt, keys[1][0], keys[1][1], coeffs)
-    analytic = rc.kk_bracket(f, g, pt)
-    fd = rc.kk_bracket(lambda p: f.value(p), lambda p: g.value(p), pt)
-    assert abs(analytic - fd) < 1e-6
+    for n, degrees in [(2, [2]), (3, [2, 3])]:
+        pt = rc.random_nilpotent_point(n, 3, rng)
+        coeffs = rc.HitchinCoefficients(pt, degrees)
+        keys = coeffs.keys()
+        pairs = [(keys[0], keys[1])]
+        if n == 3:
+            pairs = [((3, (1, 1, 0)), (3, (0, 1, 1))),
+                     ((2, (1, 0, 0)), (3, (1, 0, 1)))]
+        for kf, kg in pairs:
+            f = rc.HitchinObservable(pt, kf[0], kf[1], coeffs)
+            g = rc.HitchinObservable(pt, kg[0], kg[1], coeffs)
+            analytic = rc.kk_bracket(f, g, pt)
+            fd = rc.kk_bracket(lambda p: f.value(p), lambda p: g.value(p), pt)
+            assert abs(analytic - fd) < 1e-6
 
 
 def test_gradients_equal_per_node_sum():
-    # the stacked gradient adds the same terms in the same order as a loop
-    # over the extraction nodes
+    # the site-weight gradient equals the per-node definition
+    # sum_k w_a[k] d eta(zeta_k)^(d-1) / (zeta_k - z_i) up to rounding
+    # relative to the largest node term, and the Cauchy-ring partials of
+    # the value, which do not go through either
     rng = np.random.default_rng(15)
     pt = rc.random_nilpotent_point(3, 3, rng)
     coeffs = rc.HitchinCoefficients(pt, [2, 3])
     for d, a in coeffs.keys():
         obs = rc.HitchinObservable(pt, d, a, coeffs)
         ref = np.zeros((pt.nsites, pt.n, pt.n), dtype=complex)
+        largest = 0.0
         for lam, z in zip(obs.row, obs.nodes):
             power = np.linalg.matrix_power(rc.lax_rational(pt, z), d - 1)
             for i, zi in enumerate(pt.sites):
-                ref[i] += lam * d * power / (z - zi)
-        assert np.array_equal(obs.gradients(pt), ref)
+                term = lam * d * power / (z - zi)
+                ref[i] += term
+                largest = max(largest, np.abs(term).max())
+        grads = obs.gradients(pt)
+        assert np.abs(grads - ref).max() <= 1e-13 * largest
+        ring = rc._numerical_gradients(obs.value, pt)
+        assert np.abs(grads - ring).max() < 1e-11 * np.abs(grads).max()
 
 
 def test_flow_field_eq4_exact():

@@ -79,6 +79,28 @@ def test_exact_residues_match_float():
     assert any(v != 0 for v in exact[0].flat)
 
 
+def test_exact_residues_equal_per_entry_fraction_sum():
+    # negative sites whose differences share factors: the common
+    # denominator gives the same Fractions as adding 2 Omega_ij / (z_i - z_j)
+    # entry by entry
+    weights = [1, 2, 1]
+    sites = [Fraction(-3, 4), Fraction(5, 6), Fraction(7, 2)]
+    space = TensorRepSpace(weights)
+    e, f, h = ([space.generator(g, i).real.astype(np.int64)
+                for i in range(1, 4)] for g in "efh")
+    exact = rq.gaudin_residues_exact(weights, sites)
+    for i, ham in enumerate(exact):
+        ref = np.full(ham.shape, Fraction(0), dtype=object)
+        for j in range(3):
+            if j != i:
+                two_omega = h[i] @ h[j] + 2 * (e[i] @ f[j] + f[i] @ e[j])
+                for idx, v in np.ndenumerate(two_omega):
+                    ref[idx] += Fraction(int(v)) / (sites[i] - sites[j])
+        assert all(type(v) is Fraction for v in ham.flat)
+        assert all(a == b for a, b in zip(ham.flat, ref.flat))
+    assert any(v.denominator > 1 for v in exact[0].flat)
+
+
 @pytest.mark.parametrize("weights,sites", [([1, 1, 1], [0, 1]),
                                            ([1, 1], [0, 1, 2])])
 def test_exact_residues_need_one_site_per_weight(weights, sites):
