@@ -337,25 +337,22 @@ def ordering_counterterm(params):
     return q
 
 
-def commuting_hamiltonians(params, ops=None):
+def commuting_hamiltonians(params):
     """The commuting family [H0, H_1, ..., H_N]: the trace coefficients
     themselves, with no reordering correction.  They commute on the
     weight-zero subspace for any number of sites, weights and twist
     level once the momentum is p_hat = D + k u(t^2) (reduced_momentum).
     """
-    if ops is None:
-        ops = quantum_hamiltonians(params)
+    ops = quantum_hamiltonians(params)
     return [ops[0]] + list(ops[1])
 
 
-def trace_expansion_residual(params, z, t, ops=None):
+def trace_expansion_residual(params, z, t):
     """Residual of theta'(1)^2 tr L(z)^2 = H0 + sum_i [H_i u_i
     + K_i u_i^2 + M_i wp_i] as operators, compared coefficient-wise at a
     numeric twist t."""
     ctx = params.ctx
-    if ops is None:
-        ops = quantum_hamiltonians(params)
-    h0, his, kis, mis = ops
+    h0, his, kis, mis = quantum_hamiltonians(params)
     L = lax_quantum(params, z)
     tr = EulerDiffOp(params.dim)
     for a in range(2):
@@ -370,7 +367,7 @@ def trace_expansion_residual(params, z, t, ops=None):
     return _max_diff(lhs.evaluate(ctx, t), rhs.evaluate(ctx, t))
 
 
-def check_reduced_commutativity(params, t_samples, exponents, ops=None):
+def check_reduced_commutativity(params, t_samples, exponents):
     """Max relative norm of [H_a, H_b] applied to trial functions t^m v
     with v in the weight-zero subspace, over all pairs from the
     commuting family, twist samples and exponents.
@@ -386,7 +383,7 @@ def check_reduced_commutativity(params, t_samples, exponents, ops=None):
     (_block_products).  The restriction is exact: every term preserves
     total weight, so the rows it drops vanish on weight-zero columns.
     """
-    fam = commuting_hamiltonians(params, ops=ops)
+    fam = commuting_hamiltonians(params)
     idx = np.flatnonzero(params.space.weight_zero())
     if not idx.size:
         return None

@@ -1,7 +1,7 @@
-"""Matrix Lie algebras, sl2 irreducibles and tensor-product site operators.
+"""Split Casimirs, sl2 irreducibles and tensor-product site operators.
 
-Provides orthonormal bases of sl_n / gl_n with respect to the trace form
-tr(XY), finite-dimensional irreducible representations of sl2 in exact
+Provides the split Casimir of sl_n read from the images of the matrix
+units, finite-dimensional irreducible representations of sl2 in exact
 integer arithmetic, and tensor products of such representations with the
 usual embedding X -> 1 x ... x X x ... x 1 at a chosen site, and the
 matching action of SU(n) on the tensor product.
@@ -10,72 +10,6 @@ matching action of SU(n) on the tensor product.
 import math
 
 import numpy as np
-
-
-class MatrixAlgebra:
-    """sl_n or gl_n with elementary units and an orthonormal basis.
-
-    The basis is orthonormal for the symmetric bilinear form <X, Y> = tr(XY)
-    (complex-bilinear, not hermitian).  It consists of the symmetrized and
-    antisymmetrized off-diagonal units plus an orthonormal set of traceless
-    diagonal matrices; for gl_n the identity over sqrt(n) is appended.
-    """
-
-    def __init__(self, n, kind="sl"):
-        if n < 2:
-            raise ValueError("need n >= 2")
-        if kind not in ("sl", "gl"):
-            raise ValueError("kind must be 'sl' or 'gl'")
-        self.n = n
-        self.kind = kind
-
-    def unit(self, a, b):
-        """Elementary matrix unit e_ab (zero-based indices)."""
-        m = np.zeros((self.n, self.n), dtype=complex)
-        m[a, b] = 1.0
-        return m
-
-    def basis(self):
-        """Orthonormal basis for the trace form tr(XY)."""
-        n = self.n
-        out = []
-        s = 1.0 / np.sqrt(2.0)
-        for a in range(n):
-            for b in range(a + 1, n):
-                out.append(s * (self.unit(a, b) + self.unit(b, a)))
-                out.append((self.unit(a, b) - self.unit(b, a)) / (1j * np.sqrt(2.0)))
-        for k in range(1, n):
-            d = np.zeros((n, n), dtype=complex)
-            for a in range(k):
-                d[a, a] = 1.0
-            d[k, k] = -k
-            out.append(d / np.sqrt(k * (k + 1)))
-        if self.kind == "gl":
-            out.append(np.eye(n, dtype=complex) / np.sqrt(n))
-        return out
-
-    def dim(self):
-        return self.n * self.n - (1 if self.kind == "sl" else 0)
-
-    def split_casimir(self):
-        """Sum over the basis of e_a (x) e_a as an n^2 x n^2 matrix.
-
-        Equals the flip operator P for gl_n, and P - I/n for sl_n.
-        """
-        n = self.n
-        total = np.zeros((n * n, n * n), dtype=complex)
-        for e in self.basis():
-            total += np.kron(e, e)
-        return total
-
-    def flip(self):
-        """The permutation operator P(v (x) w) = w (x) v on C^n (x) C^n."""
-        n = self.n
-        p = np.zeros((n * n, n * n))
-        for a in range(n):
-            for b in range(n):
-                p[a * n + b, b * n + a] = 1.0
-        return p
 
 
 def sl2_irrep(lam):
@@ -104,10 +38,26 @@ def sl2_irrep(lam):
     return {"e": e, "f": f, "h": h, "dim": d, "weight": lam, "units": units}
 
 
-def _defining_units(n):
-    """Images of the n x n matrix units E_ab in the defining
-    representation of gl_n: each acts as itself."""
+def matrix_units(n):
+    """The n x n matrix units E_ab stacked with shape (n, n, n, n); they are
+    also their own images in the defining representation of gl_n."""
     return np.eye(n * n, dtype=np.int64).reshape(n, n, n, n)
+
+
+def split_casimir(A, B):
+    """n Omega on unit-indexed stacks A, B of shape (n, n, ..., dim, dim).
+
+    Omega = sum_ab E_ab (x) E_ba - (1/n) 1 (x) 1, the split Casimir of sl_n,
+    acts as sum_ab A_ab B_ba - (1/n) tr A tr B (tr A = sum_a A_aa) when
+    A[a, b], B[a, b] are the images of E_ab on the two factors; times n it
+    is an integer on integer images.  It is exact on sl2 sites too, whose
+    units map E_11 to 0 and so form no gl2 representation: the formula is
+    unchanged when one factor's diagonal images all shift by one operator,
+    so it reads only the sl_n part of the action, where Omega lies.
+    """
+    n = len(A)
+    return (n * sum(A[a, b] @ B[b, a] for a, b in np.ndindex(n, n))
+            - np.trace(A) @ np.trace(B))
 
 
 def _sym_power(ks, w):
@@ -126,16 +76,6 @@ def _sym_power(ks, w):
                     + np.concatenate((zero, poly * ks[..., 1, col, None]), -1))
         cols.append(poly * (binom[j] / binom))
     return np.stack(cols, axis=-1)
-
-
-def casimir_sl2(rep):
-    """Quadratic Casimir e f + f e + h^2 / 2 of an sl2 representation.
-
-    For the irreducible of highest weight lam this is lam(lam+2)/2 times
-    the identity.
-    """
-    e, f, h = rep["e"], rep["f"], rep["h"]
-    return e @ f + f @ e + (h @ h) / 2.0
 
 
 class TensorRepSpace:
@@ -171,7 +111,7 @@ class TensorRepSpace:
     def defining(cls, n, nsites):
         """N copies of the defining representation of gl_n, on which each
         matrix unit E_ab acts as itself."""
-        return cls([{"dim": n, "units": _defining_units(n)}] * nsites)
+        return cls([{"dim": n, "units": matrix_units(n)}] * nsites)
 
     def site_operator(self, x, i):
         """Embed the matrix x at site i (1-based): 1 x ... x X x ... x 1."""
@@ -201,7 +141,7 @@ class TensorRepSpace:
         if ks.shape[-2:] != (n, n):
             raise ValueError("group elements must be %d x %d" % (n, n))
         lead = ks.shape[:-2]
-        defining = _defining_units(n)
+        defining = matrix_units(n)
         out = np.ones(lead + (1, 1), dtype=complex)
         for i, rep in enumerate(self.reps, start=1):
             if "weight" in rep:
@@ -224,16 +164,10 @@ class TensorRepSpace:
         a, b = {"e": (0, 1), "f": (1, 0), "h": (0, 0)}[name]
         return self.images[i - 1, a, b]
 
-    def total(self, name):
-        """Sum over all sites of one sl2 generator."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(1, self.nsites + 1):
-            out += self.generator(name, i)
-        return out
-
     def weight_zero(self):
         """Mask of the basis states on which the total h vanishes."""
-        return np.diag(self.total("h")).real == 0
+        h = sum(self.generator("h", i) for i in range(1, self.nsites + 1))
+        return np.diag(h).real == 0
 
     def weight_zero_projector(self):
         """Orthogonal projector onto the kernel of the total h."""

@@ -1,8 +1,10 @@
 """Numerical mechanisms shared by the rational and elliptic systems:
-partial-fraction extraction, Cauchy-ring gradients and the distinct-points
-check for marked points on the sphere."""
+partial-fraction extraction, Cauchy-ring gradients, and the distinct-points
+check and the pole guard for marked points on the sphere."""
 
 import numpy as np
+
+from .theta import PoleError
 
 RING_NODES = 16
 _RING = np.exp(2j * np.pi * np.arange(RING_NODES) / RING_NODES)
@@ -90,3 +92,15 @@ def check_distinct(points):
         for j in range(i + 1, len(points)):
             if abs(points[i] - points[j]) <= 1e-10 * scale:
                 raise ValueError("marked points must be pairwise distinct")
+
+
+def site_differences(z, sites):
+    """The differences z - z_i, shape z.shape + (len(sites),); PoleError
+    when a point z lies within 1e-12 max(1, |z_i|) of a marked point."""
+    sites = np.asarray(sites)
+    dz = np.asarray(z)[..., None] - sites
+    bad = np.abs(dz) < 1e-12 * max(1.0, np.abs(sites).max())
+    if bad.any():
+        raise PoleError("evaluation at marked point %r"
+                        % (complex(sites[np.nonzero(bad)[-1][0]]),))
+    return dz

@@ -11,8 +11,9 @@ import json
 
 import numpy as np
 
-from .numerics import PartialFractionPlan, check_distinct, ring_gradient
-from .theta import PoleError
+from .numerics import (PartialFractionPlan, check_distinct, ring_gradient,
+                       site_differences)
+from .theta import PoleError  # noqa: F401  (lax_rational raises it)
 
 
 class RationalPhasePoint:
@@ -85,15 +86,11 @@ def lax_rational(point, z):
     z may be an array of nodes and the point may be batched: the result
     has shape eta.shape[:-3] + z.shape + (n, n), the leading axes of eta
     ahead of those of z.  The sites are added in order, so every node of
-    a stack gives the same bytes as a call at that node alone.
+    a stack gives the same bytes as a call at that node alone.  A node at
+    a marked point raises PoleError (`numerics.site_differences`).
     """
     z = np.asarray(z)
-    sites = np.array(point.sites)
-    dz = z[..., None] - sites
-    bad = np.abs(dz) < 1e-12 * max(1.0, np.abs(sites).max())
-    if bad.any():
-        raise PoleError("evaluation at marked point %r"
-                        % (point.sites[np.nonzero(bad)[-1][0]],))
+    dz = site_differences(z, point.sites)
     eta = point.eta
     eta = eta.reshape(eta.shape[:-3] + (1,) * z.ndim + eta.shape[-3:])
     return (eta / dz[..., None, None]).sum(axis=-3)
@@ -185,11 +182,10 @@ class HitchinObservable:
     (see `_gradient_weights`).
     """
 
-    def __init__(self, point, d, a, coeffs=None):
+    def __init__(self, point, d, a):
         self.d = int(d)
         self.a = tuple(a)
-        plan = (_hitchin_plan(point.sites, self.d) if coeffs is None
-                else coeffs.plans[self.d])
+        plan = _hitchin_plan(point.sites, self.d)
         self.row = plan.weights[plan.keys.index(self.a)]
         self.nodes = plan.nodes
         self.site_weights = _gradient_weights(point.sites, self.d, self.a)

@@ -8,7 +8,9 @@ over the unitary group, exactly (Weingarten calculus) or by Monte Carlo
 Haar sampling with standard errors from batch replicates.  The Monte Carlo
 path needs a diagonal traceless H, as `eigen_h` is: it moves the group
 action off the current, current(Ad(k)H) = R(k) current(H) R(k)^-1, and
-averages R(k)[:, m] R(k^-1)[m, :] once for every node and power.
+averages R(k)[:, m] R(k^-1)[m, :] once for every node and power.  The
+split Casimir is read from the site images of the matrix units
+(`lie.split_casimir`), exactly on sl2 sites too.
 """
 
 import itertools
@@ -17,17 +19,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lie import MatrixAlgebra, TensorRepSpace
-from .numerics import PartialFractionPlan, check_distinct
+from .lie import TensorRepSpace, matrix_units, split_casimir
+from .numerics import PartialFractionPlan, check_distinct, site_differences
 
 
 class GaudinSystem:
-    """Tensor representation space with marked points and an algebra.
+    """Tensor representation space with marked points.
 
-    For spaces built from sl2 highest weights the algebra is sl_2 and
-    abstract 2x2 traceless matrices are carried through the irreducible
-    representations at each site; for defining-representation spaces any
-    n x n matrix acts directly.
+    An n x n matrix x acts at a site as sum_ab x_ab times the site image
+    of E_ab: exact for traceless x on sl2 sites, which map E_11 to 0.
     """
 
     def __init__(self, space, sites):
@@ -37,7 +37,6 @@ class GaudinSystem:
         check_distinct(sites)
         self.space = space
         self.sites = sites
-        self.algebra = MatrixAlgebra(space.n, "sl")
 
     def rep_embed(self, x, i):
         """Site operator of the representation image of the algebra element x.
@@ -63,40 +62,38 @@ class GaudinSystem:
         """
         x = np.asarray(x, dtype=complex)
         u = np.asarray(u)
-        if any(np.any(np.abs(u - z) < 1e-12) for z in self.sites):
-            raise ValueError("evaluation at a marked point")
+        dz = site_differences(u, self.sites)
         dim = self.space.dim
         lead = x.shape[:-2]
         out = np.zeros(lead + u.shape + (dim, dim), dtype=complex)
-        for i, zi in enumerate(self.sites, start=1):
+        for i in range(1, len(self.sites) + 1):
             image = self.rep_embed(x, i).reshape(
                 lead + (1,) * u.ndim + (dim, dim))
             # np.power, not **: an array ** 2 is np.square, which rounds
             # differently from the scalar power
-            out += image / np.power(u - zi, order)[..., None, None]
+            out += image / np.power(dz[..., i - 1], order)[..., None, None]
         return out
 
 
 def gaudin_quadratic(system, zeta):
-    """The quadratic pencil sum_a e_a(zeta) e_a(zeta) over the orthonormal basis."""
-    cur = system.current(np.array(system.algebra.basis()), zeta)
-    return np.sum(cur @ cur, axis=0)
+    """The quadratic pencil: Omega on the unit currents J_ab(zeta)."""
+    cur = system.current(matrix_units(system.space.n), zeta)
+    return split_casimir(cur, cur) / system.space.n
 
 
 def gaudin_residues(system):
     """Simple-pole residues H_{2,i} and the central site Casimirs.
 
-    H_{2,i} = sum_{j != i} 2 Omega_ij / (z_i - z_j) with
-    Omega_ij = sum_a e_a^(i) e_a^(j); the double-pole coefficients
-    C_i = sum_a (e_a^(i))^2 are central and returned separately.
+    H_{2,i} = sum_{j != i} 2 Omega_ij / (z_i - z_j), Omega_ij the split
+    Casimir on sites i and j; the double-pole coefficients C_i = Omega_ii
+    are central and returned separately.
     """
-    basis = np.array(system.algebra.basis())
-    ops = [system.rep_embed(basis, i) for i in range(1, len(system.sites) + 1)]
+    images, n, sites = system.space.images, system.space.n, system.sites
     zero = np.zeros((system.space.dim,) * 2, dtype=complex)
-    hams = [sum((2.0 * np.sum(ops[i] @ ops[j], axis=0) / (zi - zj)
-                 for j, zj in enumerate(system.sites) if j != i), zero)
-            for i, zi in enumerate(system.sites)]
-    return hams, [np.sum(op @ op, axis=0) for op in ops]
+    hams = [sum((2.0 / n * split_casimir(images[i], images[j]) / (zi - zj)
+                 for j, zj in enumerate(sites) if j != i), zero)
+            for i, zi in enumerate(sites)]
+    return hams, [split_casimir(a, a) / n for a in images]
 
 
 class SingularVectorSpec:
@@ -116,8 +113,12 @@ class SingularVectorSpec:
                       for c, factors in terms]
 
     @classmethod
-    def quadratic(cls, algebra):
-        return cls([(1.0, [(e, 1), (e, 1)]) for e in algebra.basis()])
+    def quadratic(cls, n):
+        """Omega: sum_ab (E_ab, 1)(E_ba, 1) - 1/n (1, 1)(1, 1)."""
+        units, one = matrix_units(n), np.eye(n)
+        return cls([(1.0, [(units[a, b], 1), (units[b, a], 1)])
+                    for a, b in np.ndindex(n, n)]
+                   + [(-1.0 / n, [(one, 1), (one, 1)])])
 
 
 def ffr_operator(system, spec, u):
@@ -271,7 +272,7 @@ def exact_average_power(system, H, l, zetas):
     n, dim = system.space.n, system.space.dim
     avg = _permutation_average(np.asarray(H), l)
     # J[k, z] is the current of the matrix unit E_ab, k = n a + b
-    J = system.current(np.eye(n * n).reshape(n * n, n, n), np.ravel(zetas))
+    J = system.current(matrix_units(n).reshape(n * n, n, n), np.ravel(zetas))
     if l == 1:
         return np.tensordot(avg, J, axes=1)
     out = []
@@ -400,32 +401,31 @@ def commutator_norm(a, b):
 
 
 def gaudin_residues_exact(weights, sites):
-    """H_{2,i} over exact rationals for sl2 weight data at rational sites.
+    """H_{2,i} over exact rationals at pairwise distinct rational sites.
 
-    sites must be Fractions (or ints); returns object-dtype matrices of
-    Fractions.  2 Omega_ij = h_i h_j + 2 e_i f_j + 2 f_i e_j is formed in
-    integer arithmetic from the site images of e, f, h.  Each H_i is summed
-    over one integer denominator, the lcm of the numerators of the
-    differences z_i - z_j, and becomes Fractions only entry by entry at
-    the end.
+    weights as for `TensorRepSpace`, with integer unit images; sites are
+    Fractions (or ints).  Returns object-dtype matrices of Fractions: H_i
+    sums n Omega_ij (`split_casimir`), formed in integers, over one integer
+    denominator, the lcm of the numerators of the z_i - z_j, and becomes
+    Fractions entry by entry at the end.
     """
     space = TensorRepSpace(weights)
     sites = [Fraction(z) for z in sites]
     if len(sites) != space.nsites:
         raise ValueError("need one site per weight, got %d sites for %d weights"
                          % (len(sites), space.nsites))
-    e, f, h = ([space.generator(g, i).real.astype(np.int64)
-                for i in range(1, space.nsites + 1)] for g in "efh")
+    if len(set(sites)) < len(sites):
+        raise ValueError("sites must be pairwise distinct")
+    images = space.images.real.astype(np.int64)
     hams = []
     for i, si in enumerate(sites):
         diffs = [(j, si - sj) for j, sj in enumerate(sites) if j != i]
         den = math.lcm(*(diff.numerator for _, diff in diffs))
         num = np.zeros((space.dim, space.dim), dtype=object)
         for j, diff in diffs:
-            two_omega = h[i] @ h[j] + 2 * (e[i] @ f[j] + f[i] @ e[j])
-            # 1 / (z_i - z_j) is this integer over den
-            num += two_omega.astype(object) * (diff.denominator
-                                               * (den // diff.numerator))
-        hams.append(np.array([[Fraction(v, den) for v in row] for row in num],
-                             dtype=object))
+            # 1 / (z_i - z_j) is this integer over den; H_i = 2 num / (n den)
+            num += split_casimir(images[i], images[j]).astype(object) * (
+                diff.denominator * (den // diff.numerator))
+        hams.append(np.array([[Fraction(2 * v, space.n * den) for v in row]
+                              for row in num], dtype=object))
     return hams

@@ -323,6 +323,21 @@ def test_small_rational_classical_run_passes(tmp_path):
     assert {r["status"] for r in rows.values()} == {"pass"}
 
 
+def test_gradient_fd_oracle_sees_a_wrong_gradient(tmp_path, monkeypatch):
+    # gradients scaled by 1/d (the factor d dropped) read 1 - 1/d against
+    # the Cauchy-ring partials of the value
+    from hitchin import rational_classical as rc
+    weights = rc._gradient_weights
+    monkeypatch.setattr(rc, "_gradient_weights",
+                        lambda sites, d, a: weights(sites, d, a) / d)
+    code = run(["rational-classical", "--nsites", "2", "--trials", "1",
+                "--out", str(tmp_path)])
+    assert code == 1
+    row = read_rows(tmp_path / "rational-classical.csv")["gradient_fd_oracle"]
+    assert row["status"] == "FAIL"
+    assert abs(float(row["residual"]) - 0.5) < 1e-10
+
+
 def test_exhausted_phase_point_draws_exit_3(tmp_path, capsys, monkeypatch,
                                             lattice_rng):
     monkeypatch.setattr(cli, "_rng", lambda seed, task: lattice_rng)

@@ -1,44 +1,22 @@
-"""Tests for matrix algebras, sl2 irreducibles and tensor site operators."""
+"""Tests for split Casimirs, sl2 irreducibles and tensor site operators."""
 
 import numpy as np
 import pytest
 
-from hitchin.lie import (
-    MatrixAlgebra,
-    TensorRepSpace,
-    casimir_sl2,
-    sl2_irrep,
-)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("kind", ["sl", "gl"])
-def test_basis_orthonormal(n, kind):
-    basis = MatrixAlgebra(n, kind).basis()
-    assert len(basis) == n * n - (1 if kind == "sl" else 0)
-    for a, ea in enumerate(basis):
-        for b, eb in enumerate(basis):
-            want = 1.0 if a == b else 0.0
-            assert abs(np.trace(ea @ eb) - want) < 1e-13
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_basis_traceless_sl(n):
-    for e in MatrixAlgebra(n, "sl").basis():
-        assert abs(np.trace(e)) < 1e-14
+from hitchin.lie import TensorRepSpace, split_casimir, sl2_irrep
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_split_casimir_completeness(n):
-    alg = MatrixAlgebra(n, "sl")
-    target = alg.flip() - np.eye(n * n) / n
-    assert np.linalg.norm(alg.split_casimir() - target) < 1e-13
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_split_casimir_gl(n):
-    alg = MatrixAlgebra(n, "gl")
-    assert np.linalg.norm(alg.split_casimir() - alg.flip()) < 1e-13
+    # on two defining sites Omega_12 is the flip P minus 1/n
+    space = TensorRepSpace.defining(n, 2)
+    flip = np.zeros((n * n, n * n))
+    for a in range(n):
+        for b in range(n):
+            flip[a * n + b, b * n + a] = 1.0
+    want = n * flip - np.eye(n * n)
+    assert np.array_equal(split_casimir(*space.images), want)
+    assert np.array_equal(split_casimir(*space.images[::-1]), want)
 
 
 @pytest.mark.parametrize("lam", [0, 1, 2, 3, 4, 5, 6])
@@ -59,9 +37,13 @@ def test_sl2_trivial():
 
 @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6])
 def test_sl2_casimir(lam):
-    c = casimir_sl2(sl2_irrep(lam))
-    want = lam * (lam + 2) / 2.0
-    assert np.allclose(c, want * np.eye(lam + 1), atol=0)
+    # the units of an sl2 site map E_11 to 0, yet Omega at one site is
+    # the Casimir lam (lam + 2) / 2, here times n = 2, in integers
+    units = sl2_irrep(lam)["units"]
+    assert not units[1, 1].any()
+    c = split_casimir(units, units)
+    assert c.dtype == np.int64
+    assert np.array_equal(c, lam * (lam + 2) * np.eye(lam + 1, dtype=int))
 
 
 def test_site_operator_example():

@@ -1,8 +1,13 @@
 """Tests for the shared numerical mechanisms."""
 
 import numpy as np
+import pytest
 
-from hitchin.numerics import RING_NODES, ring_gradient
+from hitchin.lie import TensorRepSpace
+from hitchin.numerics import RING_NODES, ring_gradient, site_differences
+from hitchin.rational_classical import RationalPhasePoint, lax_rational
+from hitchin.rational_quantum import GaudinSystem
+from hitchin.theta import PoleError
 
 
 def test_ring_gradient_is_exact_on_polynomials():
@@ -45,3 +50,20 @@ def test_ring_gradient_matches_per_point_loop():
     grad = ring_gradient(f, x, radii)
     assert grad.shape == (4, 3)
     assert np.max(np.abs(grad - np.array(loop))) < 1e-12 * np.max(np.abs(grad))
+
+
+def test_pole_guard_is_relative_to_the_sites():
+    # 1e-9 from a site at 1e6 is within 1e-12 of its modulus: both the
+    # classical Lax matrix and the quantum current refuse it
+    sites = [0.0, 1e6]
+    near, far = 1e6 + 1e-9, 1e6 + 1e-3
+    assert np.array_equal(site_differences([far], sites),
+                          [[far - 0.0, far - 1e6]])
+    point = RationalPhasePoint(np.zeros((2, 2, 2)), sites)
+    system = GaudinSystem(TensorRepSpace([1, 1]), sites)
+    for call in (lambda z: site_differences(z, sites),
+                 lambda z: lax_rational(point, z),
+                 lambda z: system.current(np.eye(2), z)):
+        with pytest.raises(PoleError, match="1000000"):
+            call(near)
+        call(far)

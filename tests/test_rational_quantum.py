@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from hitchin import rational_quantum as rq
-from hitchin.lie import TensorRepSpace
+from hitchin.lie import TensorRepSpace, matrix_units
+from hitchin.theta import PoleError
 
 
 def make_system(weights, sites):
@@ -69,14 +70,15 @@ def test_quadratic_commutativity(weights):
 
 
 def test_exact_residues_match_float():
-    weights = [1, 2, 1]
     sites = [Fraction(-3, 2), Fraction(1, 3), Fraction(4)]
-    exact = rq.gaudin_residues_exact(weights, sites)
-    hams, _ = rq.gaudin_residues(make_system(weights, [float(s) for s in sites]))
-    for ex, h in zip(exact, hams):
-        assert all(type(v) is Fraction for v in ex.flat)
-        assert np.abs(ex.astype(complex) - h).max() < 1e-12
-    assert any(v != 0 for v in exact[0].flat)
+    for weights in ([1, 2, 1], TensorRepSpace.defining(3, 3).reps):
+        exact = rq.gaudin_residues_exact(weights, sites)
+        hams, _ = rq.gaudin_residues(make_system(weights,
+                                                 [float(s) for s in sites]))
+        for ex, h in zip(exact, hams):
+            assert all(type(v) is Fraction for v in ex.flat)
+            assert np.abs(ex.astype(complex) - h).max() < 1e-12
+        assert any(v != 0 for v in exact[0].flat)
 
 
 def test_exact_residues_equal_per_entry_fraction_sum():
@@ -108,6 +110,11 @@ def test_exact_residues_need_one_site_per_weight(weights, sites):
         rq.gaudin_residues_exact(weights, sites)
 
 
+def test_exact_residues_reject_repeated_sites():
+    with pytest.raises(ValueError, match="distinct"):
+        rq.gaudin_residues_exact([1, 1, 1], [Fraction(1, 2), Fraction(2, 4), 3])
+
+
 def test_exact_commutativity():
     hams = rq.gaudin_residues_exact([1, 1, 1],
                                     [Fraction(0), Fraction(1), Fraction(1, 3)])
@@ -122,7 +129,7 @@ def test_exact_commutativity():
 def test_global_invariance():
     sys3 = make_system([1, 1, 1], [0.0, 1.0, 0.5j])
     hams, _ = rq.gaudin_residues(sys3)
-    for e in sys3.algebra.basis():
+    for e in matrix_units(2).reshape(4, 2, 2):
         tot = sum(sys3.rep_embed(e, i) for i in range(1, 4))
         for h in hams:
             assert rq.commutator_norm(h, tot) < 1e-12 * np.linalg.norm(h)
@@ -172,11 +179,13 @@ def test_rep_embed_matches_kron(space):
 
 
 def test_ffr_quadratic_spec():
-    sys2 = make_system([1, 1], [0.0, 1.0])
-    spec = rq.SingularVectorSpec.quadratic(sys2.algebra)
     u = 2.3 + 0.4j
-    assert np.linalg.norm(rq.ffr_operator(sys2, spec, u)
-                          - rq.gaudin_quadratic(sys2, u)) < 1e-13
+    for space in (TensorRepSpace([1, 1]), TensorRepSpace([1, 2]),
+                  TensorRepSpace.defining(3, 2)):
+        sys2 = rq.GaudinSystem(space, [0.0, 1.0])
+        spec = rq.SingularVectorSpec.quadratic(space.n)
+        assert np.linalg.norm(rq.ffr_operator(sys2, spec, u)
+                              - rq.gaudin_quadratic(sys2, u)) < 1e-13
 
 
 def test_ffr_single_factor_depth():
@@ -494,7 +503,7 @@ def test_current_stacked_equals_single_calls(space, order):
     for i, zi in enumerate(sites, start=1):
         ref += system.rep_embed(x, i) / (u - zi) ** order
     assert np.array_equal(single[1, 2, 1, 0], ref)
-    with pytest.raises(ValueError):
+    with pytest.raises(PoleError):
         system.current(xs, np.array([2.0, sites[1]]), order)
 
 
