@@ -125,31 +125,44 @@ class TensorRepSpace:
             out = np.kron(out, x if j == i else np.eye(d))
         return out
 
-    def group_image(self, ks):
-        """R(k) = rho_1(k) x ... x rho_N(k) for a stack of SU(n) elements.
+    def site_images(self, ks):
+        """The site actions rho_1(k), ..., rho_N(k) of a stack of SU(n)
+        elements.
 
-        ks has shape (..., n, n); the result has shape (..., dim, dim).  A
+        ks has shape (..., n, n); rho_i(k) has shape (..., d_i, d_i).  A
         defining site acts by k itself.  An sl2 site of weight w acts on
         v_j = f^j v_0 / j!, which is binom(w, j) x^(w-j) y^j among the
         degree-w polynomials in x = e_0, y = e_1 that k maps by
-        x -> k00 x + k10 y, y -> k01 x + k11 y.  Then
-        rep_embed(k X k^-1, i) = R(k) rep_embed(X, i) R(k)^-1 for traceless
-        X.  A site of any other representation raises ValueError.
+        x -> k00 x + k10 y, y -> k01 x + k11 y.  A site of any other
+        representation raises ValueError.
         """
         n = self.n
         ks = np.asarray(ks, dtype=complex)
         if ks.shape[-2:] != (n, n):
             raise ValueError("group elements must be %d x %d" % (n, n))
-        lead = ks.shape[:-2]
         defining = matrix_units(n)
-        out = np.ones(lead + (1, 1), dtype=complex)
+        rhos = []
         for i, rep in enumerate(self.reps, start=1):
             if "weight" in rep:
-                rho = _sym_power(ks, rep["weight"])
+                rhos.append(_sym_power(ks, rep["weight"]))
             elif rep["dim"] == n and np.array_equal(rep["units"], defining):
-                rho = ks
+                rhos.append(ks)
             else:
                 raise ValueError("no group action known at site %d" % i)
+        return rhos
+
+    def group_image(self, ks):
+        """R(k) = rho_1(k) x ... x rho_N(k) for a stack of SU(n) elements.
+
+        ks has shape (..., n, n); the result has shape (..., dim, dim), the
+        Kronecker product of the `site_images`.  Then
+        rep_embed(k X k^-1, i) = R(k) rep_embed(X, i) R(k)^-1 for traceless
+        X.
+        """
+        ks = np.asarray(ks, dtype=complex)
+        lead = ks.shape[:-2]
+        out = np.ones(lead + (1, 1), dtype=complex)
+        for rho in self.site_images(ks):
             size = out.shape[-1] * rho.shape[-1]
             out = (out[..., :, None, :, None]
                    * rho[..., None, :, None, :]).reshape(lead + (size, size))

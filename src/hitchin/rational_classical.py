@@ -106,6 +106,16 @@ def _hitchin_plan(sites, d):
     return plan
 
 
+@functools.lru_cache(maxsize=32)
+def _node_reciprocals(sites, d):
+    """1 / (zeta_k - z_i) at the nodes of the degree-d plan, shape (N, K),
+    read-only: eta(zeta_k) = sum_i recip[i, k] eta_i."""
+    plan = _hitchin_plan(sites, d)
+    recip = 1.0 / (plan.nodes - np.array(sites)[:, None])
+    recip.flags.writeable = False
+    return recip
+
+
 @functools.lru_cache(maxsize=128)
 def _gradient_weights(sites, d, a):
     """Site weights of the gradient of H_{d,a}, read-only.
@@ -116,7 +126,7 @@ def _gradient_weights(sites, d, a):
     reciprocals into the N x N matrix C, and grad_i = sum_j C[i, j] eta_j.
     """
     plan = _hitchin_plan(sites, d)
-    recip = 1.0 / (plan.nodes - np.array(sites)[:, None])
+    recip = _node_reciprocals(sites, d)
     weights = d * plan.weights[plan.keys.index(a)] * recip
     if d == 2:
         weights = weights @ recip.T
@@ -189,6 +199,7 @@ class HitchinObservable:
         self.row = plan.weights[plan.keys.index(self.a)]
         self.nodes = plan.nodes
         self.site_weights = _gradient_weights(point.sites, self.d, self.a)
+        self.recip = _node_reciprocals(point.sites, self.d)
 
     def value(self, point):
         """H_{d,a} at the point; an array over the batch of a batched one."""
@@ -200,14 +211,16 @@ class HitchinObservable:
 
     def gradients(self, point):
         """Matrix gradients wrt each eta[i] under the pairing tr(grad . delta),
-        stacked over the sites: one matrix product with the site weights."""
-        if self.d == 2:
-            terms = point.eta
-        else:
-            terms = np.linalg.matrix_power(lax_rational(point, self.nodes),
-                                           self.d - 1)
-        flat = self.site_weights @ terms.reshape(len(terms), -1)
-        return flat.reshape(point.eta.shape)
+        stacked over the sites: one matrix product with the site weights.
+        At d >= 3, eta(zeta_k) at the plan's nodes is one product of the
+        node reciprocals with the stacked eta_i."""
+        eta = point.eta
+        terms = eta.reshape(len(eta), -1)
+        if self.d > 2:
+            lax = (self.recip.T @ terms).reshape((-1,) + eta.shape[1:])
+            terms = np.linalg.matrix_power(lax, self.d - 1).reshape(
+                len(lax), -1)
+        return (self.site_weights @ terms).reshape(eta.shape)
 
 
 def _numerical_gradients(f, point):

@@ -89,10 +89,12 @@ def gaudin_residues(system):
     are central and returned separately.
     """
     images, n, sites = system.space.images, system.space.n, system.sites
-    zero = np.zeros((system.space.dim,) * 2, dtype=complex)
-    hams = [sum((2.0 / n * split_casimir(images[i], images[j]) / (zi - zj)
-                 for j, zj in enumerate(sites) if j != i), zero)
-            for i, zi in enumerate(sites)]
+    hams = [np.zeros((system.space.dim,) * 2, dtype=complex) for _ in sites]
+    # Omega_ij = Omega_ji: each pair once, added to H_i and H_j
+    for i, j in itertools.combinations(range(len(sites)), 2):
+        omega = 2.0 / n * split_casimir(images[i], images[j])
+        hams[i] += omega / (sites[i] - sites[j])
+        hams[j] += omega / (sites[j] - sites[i])
     return hams, [split_casimir(a, a) / n for a in images]
 
 
@@ -296,9 +298,9 @@ def _left_products(rows, total):
     return total
 
 
-# Bytes of the stacked group images R(k) one chunk of group elements
-# holds: R(k^-1) and the few other chunk-sized temporaries then add about
-# a megabyte to peak memory however many samples are drawn.
+# Bytes of the per-draw products of the site tensors q_i over all sites but
+# the last that one chunk of draws holds (see `_batch_means`), so that
+# memory per chunk does not grow with the number of samples.
 CHUNK_BYTES = 1 << 18
 
 
@@ -306,10 +308,18 @@ def _batch_means(system, H, l, zetas, sampler, nsamples, batches):
     """Batch means of the l-th powers, shape (batches, zetas, dim, dim).
 
     current(Ad(k)H, zeta) = R(k) current(H, zeta) R(k)^-1, with R the group
-    action on the space (`TensorRepSpace.group_image`), and for a diagonal
-    traceless H, current(H, zeta) is the diagonal matrix of D(zeta).  So a
-    batch mean is sum_m D_m(zeta)^l A_m, where A_m, the batch mean of
-    R(k)[:, m] R(k^-1)[m, :], is shared by every node.
+    action on the space, and for a diagonal traceless H, current(H, zeta)
+    is the diagonal matrix of D(zeta).  So a batch mean is
+    sum_m D_m(zeta)^l A_m, where A_m, the batch mean of
+    R(k)[:, m] R(k^-1)[m, :], is shared by every node.  R(k) is the
+    Kronecker product of the site actions rho_i(k)
+    (`TensorRepSpace.site_images`), so a draw adds to A_m[r, c] the product
+    over the sites of q_i[m_i, r_i, c_i] = rho_i(k)[r_i, m_i]
+    rho_i(k^-1)[m_i, c_i], d_i^3 numbers each.  A batch is one sampler
+    call; its draws go in chunks whose per-draw products of the q_i of all
+    sites but the last hold at most CHUNK_BYTES, and one matrix product
+    with the last site's q sums a chunk over its draws.  The batch sum,
+    site by site, has its axes reordered to (m, r, c) once per batch.
     """
     if batches < 2 or nsamples < batches:
         raise ValueError("need batches >= 2 and nsamples >= batches, got "
@@ -319,23 +329,37 @@ def _batch_means(system, H, l, zetas, sampler, nsamples, batches):
             or abs(np.trace(H)) > 1e-12 * np.linalg.norm(H)):
         raise ValueError("Monte Carlo averages need a diagonal traceless H")
     space = system.space
-    dim = space.dim
+    dim, dims = space.dim, space.site_dims
     powers = np.diagonal(system.current(H, np.asarray(zetas)),
                          axis1=-2, axis2=-1) ** l
-    chunk = max(1, CHUNK_BYTES // (16 * dim ** 2))
+    chunk = max(1, CHUNK_BYTES // (16 * math.prod(d ** 3 for d in dims[:-1])))
+    # the axes (m_1, r_1, c_1, ..., m_N, r_N, c_N) of a sum, as (m, r, c)
+    order = [3 * i + j for j in range(3) for i in range(len(dims))]
     per_batch = nsamples // batches
     out = np.empty((batches,) + powers.shape[:-1] + (dim, dim),
                    dtype=complex)
     for b in range(batches):
-        sums = np.zeros((dim, dim, dim), dtype=complex)
+        ks = sampler.sample(per_batch)
         for s in range(0, per_batch, chunk):
-            ks = sampler.sample(min(chunk, per_batch - s))
-            r = space.group_image(
-                np.concatenate((ks, ks.conj().swapaxes(-1, -2))))
-            # sums[m] += sum over the draws of R[:, m] R^-1[m, :]
-            sums += r[:len(ks)].transpose(2, 1, 0) @ r[len(ks):].swapaxes(0, 1)
-        out[b] = (powers @ sums.reshape(dim, -1)).reshape(out.shape[1:])
-    return out / per_batch
+            k = ks[s:s + chunk]
+            rhos = space.site_images(
+                np.concatenate((k, k.conj().swapaxes(-1, -2))))
+            # q_i[draw, (m, r, c)] = rho_i(k)[r, m] rho_i(k^-1)[m, c]
+            qs = [(rho[:len(k)].swapaxes(1, 2)[..., None]
+                   * rho[len(k):, :, None, :]).reshape(len(k), -1)
+                  for rho in rhos]
+            prod = np.ones((len(k), 1), dtype=complex)
+            for q in qs[:-1]:
+                prod = (prod[:, :, None] * q[:, None, :]).reshape(len(k), -1)
+            if s:
+                sums += prod.T @ qs[-1]
+            else:
+                sums = prod.T @ qs[-1]
+        sums = sums.reshape([d for d in dims for _ in range(3)])
+        out[b] = (powers @ sums.transpose(order).reshape(dim, -1)).reshape(
+            out.shape[1:])
+    out /= per_batch
+    return out
 
 
 def _standard_error(replicates, mean):
@@ -350,10 +374,13 @@ def haar_average_power(system, H, l, zetas, sampler, nsamples, batches=10):
     H must be diagonal and traceless (ValueError otherwise).  Returns
     (means, ses): per zeta the mean of the batch means and its Frobenius
     standard error.  nsamples // batches samples are drawn per batch
-    (batches >= 2, nsamples >= batches), in chunks whose stacked group
-    images R(k) hold at most CHUNK_BYTES.  A batch keeps the means A_m of
-    R(k)[:, m] R(k^-1)[m, :], dim^3 numbers (0.3 MB at dim 27), and
-    contracts them with the l-th powers of the diagonal of current(H, zeta).
+    (batches >= 2, nsamples >= batches), one sampler call per batch.  A
+    batch keeps the means A_m of R(k)[:, m] R(k^-1)[m, :], dim^3 numbers
+    (0.3 MB at dim 27), from the per-site images rho_i(k): in chunks of
+    draws whose per-draw products of the site tensors of all sites but the
+    last, prod_{i<N} d_i^3 numbers, hold at most CHUNK_BYTES, one matrix
+    product per chunk (see `_batch_means`).  It contracts them with the
+    l-th powers of the diagonal of current(H, zeta).
     """
     batch = _batch_means(system, H, l, zetas, sampler, nsamples, batches)
     means = sum(batch) / batches
@@ -417,15 +444,18 @@ def gaudin_residues_exact(weights, sites):
     if len(set(sites)) < len(sites):
         raise ValueError("sites must be pairwise distinct")
     images = space.images.real.astype(np.int64)
-    hams = []
-    for i, si in enumerate(sites):
-        diffs = [(j, si - sj) for j, sj in enumerate(sites) if j != i]
-        den = math.lcm(*(diff.numerator for _, diff in diffs))
-        num = np.zeros((space.dim, space.dim), dtype=object)
-        for j, diff in diffs:
-            # 1 / (z_i - z_j) is this integer over den; H_i = 2 num / (n den)
-            num += split_casimir(images[i], images[j]).astype(object) * (
-                diff.denominator * (den // diff.numerator))
-        hams.append(np.array([[Fraction(2 * v, space.n * den) for v in row]
-                              for row in num], dtype=object))
-    return hams
+    dens = [math.lcm(*((si - sj).numerator for j, sj in enumerate(sites)
+                       if j != i))
+            for i, si in enumerate(sites)]
+    nums = [np.zeros((space.dim, space.dim), dtype=object) for _ in sites]
+    # Omega_ij = Omega_ji: each pair once, added to H_i and H_j
+    for i, j in itertools.combinations(range(len(sites)), 2):
+        omega = split_casimir(images[i], images[j]).astype(object)
+        for a, b in ((i, j), (j, i)):
+            # 1 / (z_a - z_b) is this integer over dens[a];
+            # H_a = 2 nums[a] / (n dens[a])
+            diff = sites[a] - sites[b]
+            nums[a] += omega * (diff.denominator * (dens[a] // diff.numerator))
+    return [np.array([[Fraction(2 * v, space.n * den) for v in row]
+                      for row in num], dtype=object)
+            for num, den in zip(nums, dens)]

@@ -1,5 +1,7 @@
 """Tests for split Casimirs, sl2 irreducibles and tensor site operators."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -173,11 +175,26 @@ def test_group_image_conjugates_site_embeddings(space):
             assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("space", [TensorRepSpace([1, 2]),
+                                   TensorRepSpace.defining(3, 3),
+                                   TensorRepSpace([2, 1, 1])],
+                         ids=["12", "defining", "211"])
+def test_site_images_kronecker_multiply_to_group_image(space):
+    ks = _su(space.n, 4, 7)
+    rhos = space.site_images(ks)
+    assert [rho.shape for rho in rhos] == [(4, d, d) for d in space.site_dims]
+    images = space.group_image(ks)
+    for idx, image in enumerate(images):
+        kron = functools.reduce(np.kron, [rho[idx] for rho in rhos])
+        assert kron.tobytes() == image.tobytes()
+
+
 def test_group_image_rejects_unknown_representations():
     # the dual of the defining representation, E_ab -> -E_ba
     dual = -np.eye(4, dtype=np.int64).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3)
     space = TensorRepSpace([1, {"dim": 2, "units": dual}])
-    with pytest.raises(ValueError, match="site 2"):
-        space.group_image(np.eye(2))
-    with pytest.raises(ValueError):
-        TensorRepSpace([1, 1]).group_image(np.eye(3))
+    for name in ("site_images", "group_image"):
+        with pytest.raises(ValueError, match="site 2"):
+            getattr(space, name)(np.eye(2))
+        with pytest.raises(ValueError):
+            getattr(TensorRepSpace([1, 1]), name)(np.eye(3))

@@ -45,6 +45,22 @@ def test_residues_sum_to_zero():
     assert np.linalg.norm(sum(hams)) < 1e-12 * max(np.linalg.norm(h) for h in hams)
 
 
+def test_residues_form_each_pair_once(monkeypatch):
+    # Omega_ij = Omega_ji: six pairs at four sites, plus the four C_i
+    calls = []
+    casimir = rq.split_casimir
+
+    def counted(a, b):
+        calls.append(1)
+        return casimir(a, b)
+
+    monkeypatch.setattr(rq, "split_casimir", counted)
+    rq.gaudin_residues(make_system([1, 1, 2, 1], [0.0, 1.0, -1.0, 2.0j]))
+    assert len(calls) == 6 + 4
+    rq.gaudin_residues_exact([1, 1, 2, 1], [0, 1, -1, Fraction(1, 2)])
+    assert len(calls) == 10 + 6
+
+
 def test_casimir_central():
     sys3 = make_system([2, 1, 1], [0.0, 1.0, -1.0])
     hams, cas = rq.gaudin_residues(sys3)
@@ -454,6 +470,8 @@ def test_pencil_records_samples_drawn():
     pencil = rq.higher_gaudin(sys2, rq.eigen_h(2), 2, sampler,
                               nsamples=25, batches=4)
     assert pencil.nsamples == sum(draws) == 24
+    # one sampler call per batch
+    assert draws == [6] * 4
 
 
 def _haar_reference(n, seed, count):
@@ -544,8 +562,9 @@ def _assert_matches_per_draw(system, H, l, zetas, seed, nsamples, batches,
 def test_haar_average_chunked_matches_single_draws():
     sys3 = make_system([1, 1, 1], [0.0, 1.0, -1.0])
     nsamples, batches = 1200, 4
-    # the stream of each batch is split over more than one chunk
-    assert rq.CHUNK_BYTES // (16 * sys3.space.dim ** 2) < nsamples // batches
+    # the stream of each batch is split over more than one chunk, whose
+    # per-draw products of the first two sites hold (2^3)^2 numbers
+    assert rq.CHUNK_BYTES // (16 * (2 * 2) ** 3) < nsamples // batches
     _assert_matches_per_draw(sys3, rq.eigen_h(2), 3,
                              [2.7 + 0.6j, -3.0, 1.5j], 8, nsamples, batches,
                              1e-14)
@@ -557,12 +576,25 @@ def test_haar_average_chunked_matches_single_draws():
                          ids=["121", "defining"])
 def test_haar_average_matches_per_draw_powers(space, l):
     # group images of a weight-2 site and of SU(3) on (C^3)^(x)3; on the
-    # defining space each batch spans two chunks
+    # defining space each batch spans two chunks, whose per-draw products
+    # of the first two sites hold (3^3)^2 numbers
     system = rq.GaudinSystem(space, [0.0, 1.0, -1.0 + 0.5j])
     nsamples, batches = 90, 3
-    assert rq.CHUNK_BYTES // (16 * 27 ** 2) < nsamples // batches
+    assert rq.CHUNK_BYTES // (16 * (3 * 3) ** 3) < nsamples // batches
     _assert_matches_per_draw(system, rq.eigen_h(space.n), l,
                              [2.7 + 0.6j, -3.0 + 0.4j], 21, nsamples, batches,
+                             1e-13)
+
+
+def test_haar_average_four_mixed_sites_matches_per_draw_powers():
+    # site dimensions 2, 3, 2, 2: the per-draw products of the first three
+    # sites hold (2 * 3 * 2)^3 numbers, and each batch spans three chunks
+    system = rq.GaudinSystem(TensorRepSpace([1, 2, 1, 1]),
+                             [0.0, 1.0, -1.0 + 0.5j, 0.4 - 1.2j])
+    nsamples, batches = 60, 3
+    assert 2 * (rq.CHUNK_BYTES // (16 * (2 * 3 * 2) ** 3)) < nsamples // batches
+    _assert_matches_per_draw(system, rq.eigen_h(2), 3,
+                             [2.7 + 0.6j, -3.0 + 0.4j], 23, nsamples, batches,
                              1e-13)
 
 
