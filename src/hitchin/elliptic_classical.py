@@ -20,8 +20,6 @@ come from one builder, _ratio_tables.  Everything else is an array
 contraction of those tables with p and eta.
 """
 
-import json
-
 import numpy as np
 
 from .numerics import ring_gradient
@@ -66,22 +64,6 @@ class EllipticPhasePoint:
                                   self.t if t is None else t,
                                   self.eta if eta is None else eta,
                                   self.sites)
-
-    def to_json(self):
-        """Every complex value as a trailing [re, im] pair."""
-        return json.dumps({
-            key: np.stack([v.real, v.imag], axis=-1).tolist()
-            for key, v in (("q", np.asarray(self.ctx.q)), ("p", self.p),
-                           ("t", self.t), ("sites", self.sites),
-                           ("eta", self.eta))})
-
-    @classmethod
-    def from_json(cls, text):
-        data = {key: np.array(v, dtype=float)
-                for key, v in json.loads(text).items()}
-        q, p, t, sites, eta = (data[key][..., 0] + 1j * data[key][..., 1]
-                               for key in ("q", "p", "t", "sites", "eta"))
-        return cls(ThetaContext(q), p, t, eta, sites)
 
 
 def random_elliptic_point(n, nsites, q, rng, moment=False):

@@ -7,7 +7,6 @@ isospectral flows with an RK4 integrator.
 """
 
 import functools
-import json
 
 import numpy as np
 
@@ -61,23 +60,6 @@ class RationalPhasePoint:
         obj = RationalPhasePoint.__new__(RationalPhasePoint)
         obj.__dict__.update(self.__dict__, eta=np.asarray(eta, dtype=complex))
         return obj
-
-    def to_json(self):
-        return json.dumps({
-            "n": self.n,
-            "sites": [[z.real, z.imag] for z in self.sites],
-            "eta": np.stack([self.eta.real, self.eta.imag], axis=-1).tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        sites = [complex(re, im) for re, im in data["sites"]]
-        eta = np.array(data["eta"], dtype=float)
-        point = cls(eta[..., 0] + 1j * eta[..., 1], sites)
-        if point.n != data["n"]:
-            raise ValueError("matrix size does not match declared n")
-        return point
 
 
 def lax_rational(point, z):
@@ -157,12 +139,10 @@ class HitchinCoefficients:
         for d in self.degrees:
             if d < 1:
                 raise ValueError("degrees must be positive")
-        self.plans = {}
         self.values = {}
         for d in self.degrees:
             plan = _hitchin_plan(point.sites, d)
             coeffs = plan.coefficients(_power_traces(point, d, plan.nodes))
-            self.plans[d] = plan
             for a, c in zip(plan.keys, coeffs):
                 self.values[(d, a)] = c
 
@@ -172,15 +152,6 @@ class HitchinCoefficients:
 
     def keys(self):
         return list(self.values.keys())
-
-    def reconstruction_residual(self, point, z):
-        """|sum_a H_{d,a} basis_a(z) - trace(eta(z)^d)|, maximized over d."""
-        worst = 0.0
-        for d in self.degrees:
-            plan = self.plans[d]
-            total = plan.evaluate([self.values[(d, a)] for a in plan.keys], z)
-            worst = max(worst, abs(total - _power_traces(point, d, [z])[0]))
-        return worst
 
 
 class HitchinObservable:

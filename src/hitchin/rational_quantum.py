@@ -1,10 +1,9 @@
 """Quantum Gaudin operators on tensor products of representations.
 
-Quadratic Gaudin Hamiltonians and their Casimir parts, operators built from
-singular-vector data (ordered products of derivatives of currents), the
-s_p polynomial recursion, the companion diagonal matrix of its roots, and
-higher Gaudin operators obtained by averaging conjugates of that matrix
-over the unitary group, exactly (Weingarten calculus) or by Monte Carlo
+Quadratic Gaudin Hamiltonians and their Casimir parts, the s_p polynomial
+recursion, the companion diagonal matrix of its roots, and higher Gaudin
+operators obtained by averaging conjugates of that matrix over the
+unitary group, exactly (Weingarten calculus) or by Monte Carlo
 Haar sampling with standard errors from batch replicates.  The Monte Carlo
 path needs a diagonal traceless H, as `eigen_h` is: it moves the group
 action off the current, current(Ad(k)H) = R(k) current(H) R(k)^-1, and
@@ -54,8 +53,8 @@ class GaudinSystem:
         return (x.reshape(lead + (-1,)) @ units).reshape(
             lead + (space.dim, space.dim))
 
-    def current(self, x, u, order=1):
-        """x(u) = sum_i x^(i)/(u-z_i)^order (order > 1 for derivatives).
+    def current(self, x, u):
+        """x(u) = sum_i x^(i)/(u-z_i).
 
         x may be a stack of shape (..., n, n) and u an array; the result has
         shape x.shape[:-2] + u.shape + (dim, dim).
@@ -69,9 +68,7 @@ class GaudinSystem:
         for i in range(1, len(self.sites) + 1):
             image = self.rep_embed(x, i).reshape(
                 lead + (1,) * u.ndim + (dim, dim))
-            # np.power, not **: an array ** 2 is np.square, which rounds
-            # differently from the scalar power
-            out += image / np.power(dz[..., i - 1], order)[..., None, None]
+            out += image / dz[..., i - 1, None, None]
         return out
 
 
@@ -96,48 +93,6 @@ def gaudin_residues(system):
         hams[i] += omega / (sites[i] - sites[j])
         hams[j] += omega / (sites[j] - sites[i])
     return hams, [split_casimir(a, a) / n for a in images]
-
-
-class SingularVectorSpec:
-    """Sum of ordered products of current factors with depths.
-
-    terms: list of (coefficient, factors); each factor is (matrix, depth)
-    with depth >= 1.  Factor order within a term is significant.
-    """
-
-    def __init__(self, terms):
-        for _, factors in terms:
-            for _, depth in factors:
-                if depth < 1 or depth != int(depth):
-                    raise ValueError("depths must be positive integers")
-        self.terms = [(complex(c), [(np.asarray(x, dtype=complex), int(l))
-                                    for x, l in factors])
-                      for c, factors in terms]
-
-    @classmethod
-    def quadratic(cls, n):
-        """Omega: sum_ab (E_ab, 1)(E_ba, 1) - 1/n (1, 1)(1, 1)."""
-        units, one = matrix_units(n), np.eye(n)
-        return cls([(1.0, [(units[a, b], 1), (units[b, a], 1)])
-                    for a, b in np.ndindex(n, n)]
-                   + [(-1.0 / n, [(one, 1), (one, 1)])])
-
-
-def ffr_operator(system, spec, u):
-    """Operator attached to singular-vector data at the point u.
-
-    Each factor (x, l) contributes (1/(l-1)!) d^{l-1}/du^{l-1} x(u)
-    = sum_i (-1)^{l-1} x^(i)/(u-z_i)^l; factors multiply left to right
-    and terms are summed with their coefficients.
-    """
-    dim = system.space.dim
-    total = np.zeros((dim, dim), dtype=complex)
-    for coeff, factors in spec.terms:
-        prod = np.eye(dim, dtype=complex)
-        for x, l in factors:
-            prod = prod @ ((-1) ** (l - 1) * system.current(x, u, order=l))
-        total += coeff * prod
-    return total
 
 
 def s_polynomials(n, p_max):
@@ -213,10 +168,6 @@ class OperatorPencil:
         self.coeffs = coeffs
         self.se = se
         self.nsamples = nsamples
-
-    def reconstruct(self, zeta):
-        return self.plan.evaluate([self.coeffs[a] for a in self.plan.keys],
-                                  zeta)
 
 
 def _cycle_counts(perms):

@@ -229,7 +229,12 @@ class ThetaContext:
             # only lattice points with modulus comparable to |z| can be close
             k0 = math.log(abs(z)) / math.log(aq)
             for k in range(int(math.floor(k0)) - 1, int(math.ceil(k0)) + 2):
-                w = self.q ** k
+                try:
+                    w = self.q ** k
+                except (OverflowError, ZeroDivisionError):
+                    # q^k is beyond the range of doubles, so no finite z
+                    # lies near it (tiny |q|, k < 0)
+                    continue
                 if abs(z - w) < POLE_GUARD * abs(w):
                     raise PoleError("argument within pole guard of q^%d" % k)
         self._remember(key, True)

@@ -194,6 +194,17 @@ def test_identity_rows_pass_at_large_q(tmp_path, command, checks):
     assert code == 0
 
 
+@pytest.mark.parametrize("q", ["1e-155", "1e-200", "1e-300"])
+@pytest.mark.parametrize("command", ["theta-check", "elliptic-classical",
+                                     "elliptic-quantum"])
+def test_tiny_q_runs(tmp_path, capsys, command, q):
+    # the lattice points q^k with k < 0 lie beyond the range of doubles
+    # (q^-2 overflows at 1e-155, q^2 underflows to 0 at 1e-200)
+    code = run([command, "--q", q, "--out", str(tmp_path)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return {r["check"]: r for r in csv.DictReader(fh)}

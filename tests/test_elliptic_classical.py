@@ -25,23 +25,24 @@ def entry_fun(i, a, b):
     return lambda pt: pt.eta[i][a, b]
 
 
-# moment-surface point of `hitchin elliptic-classical --seed 2`
-CLOSE_TWIST_POINT = (
-    '{"q": [0.3, 0.0], '
-    '"p": [[-0.20492283237128975, 1.53523552801949], '
-    '[-0.2744140048099273, -0.879199624943892]], '
-    '"t": [[0.36216627117776967, 1.0150085839941907], '
-    '[0.21927410108898418, 1.0103993109874327]], '
-    '"sites": [[0.690330848435955, -0.8470060910353424], '
-    '[0.9918167721345003, -0.8245030337844207]], '
-    '"eta": [[[[-0.19844399372639826, 0.5042926208885647], '
-    '[0.24877306484494816, -0.3285952928118986]], '
-    '[[0.49666592427248046, -0.23968584601866358], '
-    '[-0.01530219139754038, 0.13966924849409257]]], '
-    '[[[0.19844399372639826, -0.5042926208885646], '
-    '[0.5949331717168096, -0.16388774069135176]], '
-    '[[2.3053651490300506, -0.34406318100956246], '
-    '[0.01530219139754041, -0.13966924849409246]]]]}')
+def close_twist_point():
+    """The moment-surface point of `hitchin elliptic-classical --seed 2`."""
+    return EllipticPhasePoint(
+        ThetaContext(0.3),
+        [-0.20492283237128975 + 1.53523552801949j,
+         -0.2744140048099273 - 0.879199624943892j],
+        [0.36216627117776967 + 1.0150085839941907j,
+         0.21927410108898418 + 1.0103993109874327j],
+        [[[-0.19844399372639826 + 0.5042926208885647j,
+           0.24877306484494816 - 0.3285952928118986j],
+          [0.49666592427248046 - 0.23968584601866358j,
+           -0.01530219139754038 + 0.13966924849409257j]],
+         [[0.19844399372639826 - 0.5042926208885646j,
+           0.5949331717168096 - 0.16388774069135176j],
+          [2.3053651490300506 - 0.34406318100956246j,
+           0.01530219139754041 - 0.13966924849409246j]]],
+        [0.690330848435955 - 0.8470060910353424j,
+         0.9918167721345003 - 0.8245030337844207j])
 
 
 class TestPhasePoint:
@@ -72,18 +73,6 @@ class TestPhasePoint:
         with pytest.raises(PoleError):
             EllipticPhasePoint(ctx, [1.0], [2.0],
                                [np.eye(1), np.eye(1)], [1.0, 0.3])
-
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(5)
-        pt = random_elliptic_point(2, 2, 0.3, rng)
-        back = EllipticPhasePoint.from_json(pt.to_json())
-        assert np.allclose(back.p, pt.p)
-        assert np.allclose(back.t, pt.t)
-        assert np.allclose(back.sites, pt.sites)
-        assert all(np.allclose(a, b) for a, b in zip(back.eta, pt.eta))
-        # the text itself round-trips byte for byte
-        assert EllipticPhasePoint.from_json(
-            CLOSE_TWIST_POINT).to_json() == CLOSE_TWIST_POINT
 
     def test_moment_point_has_zero_charges(self):
         rng = np.random.default_rng(6)
@@ -401,7 +390,7 @@ class TestHamiltonians:
     def test_brackets_at_close_twists(self):
         # t_1/t_2 lies 0.14 from 1, where wp(t_a/t_b) has its double pole;
         # an 8-node Cauchy ring left {h0, h_i} at 6.8e-8 of the scale here
-        pt = EllipticPhasePoint.from_json(CLOSE_TWIST_POINT)
+        pt = close_twist_point()
         hams = hamiltonians_elliptic(pt)
         scale = max(abs(hams.h0), max(abs(h) for h in hams.h), 1.0)
         for i in range(pt.nsites):
@@ -430,8 +419,7 @@ class TestFamilyGradients:
                         random_elliptic_point(n, N, q, rng, moment=moment))
 
     def test_closed_form_at_close_twists(self):
-        self.assert_matches_ring(EllipticPhasePoint.from_json(
-            CLOSE_TWIST_POINT))
+        self.assert_matches_ring(close_twist_point())
 
     def test_family_is_homogeneous_quadratic(self):
         rng = np.random.default_rng(26)

@@ -194,43 +194,6 @@ def test_rep_embed_matches_kron(space):
         system.rep_embed(np.eye(n), space.nsites + 1)
 
 
-def test_ffr_quadratic_spec():
-    u = 2.3 + 0.4j
-    for space in (TensorRepSpace([1, 1]), TensorRepSpace([1, 2]),
-                  TensorRepSpace.defining(3, 2)):
-        sys2 = rq.GaudinSystem(space, [0.0, 1.0])
-        spec = rq.SingularVectorSpec.quadratic(space.n)
-        assert np.linalg.norm(rq.ffr_operator(sys2, spec, u)
-                              - rq.gaudin_quadratic(sys2, u)) < 1e-13
-
-
-def test_ffr_single_factor_depth():
-    sys2 = make_system([1, 1], [0.0, 1.0])
-    x = np.array([[0.0, 1.0], [0.0, 0.0]])
-    u = 1.8 - 0.7j
-    for l in (1, 2, 3):
-        spec = rq.SingularVectorSpec([(1.0, [(x, l)])])
-        want = sum((-1) ** (l - 1) * sys2.rep_embed(x, i) / (u - z) ** l
-                   for i, z in enumerate(sys2.sites, start=1))
-        assert np.linalg.norm(rq.ffr_operator(sys2, spec, u) - want) < 1e-13
-
-
-def test_ffr_empty_spec():
-    sys2 = make_system([1, 1], [0.0, 1.0])
-    spec = rq.SingularVectorSpec([])
-    assert np.linalg.norm(rq.ffr_operator(sys2, spec, 2.0)) == 0.0
-
-
-def test_ffr_order_significant():
-    sys2 = make_system([1, 1], [0.0, 1.0])
-    e = np.array([[0.0, 1.0], [0.0, 0.0]])
-    f = np.array([[0.0, 0.0], [1.0, 0.0]])
-    u = 2.0 + 1.0j
-    ef = rq.ffr_operator(sys2, rq.SingularVectorSpec([(1.0, [(e, 1), (f, 2)])]), u)
-    fe = rq.ffr_operator(sys2, rq.SingularVectorSpec([(1.0, [(f, 2), (e, 1)])]), u)
-    assert np.linalg.norm(ef - fe) > 1e-3
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_s_recursion_exact(n):
     s = rq.s_polynomials(n, 20)
@@ -499,30 +462,29 @@ def test_haar_batch_equals_single_draws(n):
     assert np.array_equal(single, _haar_reference(n, 11, 25))
 
 
-@pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("space", [TensorRepSpace([1, 2]),
                                    TensorRepSpace.defining(3, 3)],
                          ids=["sl2", "defining"])
-def test_current_stacked_equals_single_calls(space, order):
+def test_current_stacked_equals_single_calls(space):
     sites = [0.0, 1.0, -0.5 + 0.7j][:space.nsites]
     system = rq.GaudinSystem(space, sites)
     rng = np.random.default_rng(12)
     n = space.n
     xs = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
     us = np.array([[2.5 + 0.5j, -1.7], [3.1 - 0.8j, 0.4j]])
-    stacked = system.current(xs, us, order)
+    stacked = system.current(xs, us)
     assert stacked.shape == (2, 3, 2, 2, space.dim, space.dim)
-    single = np.array([[[[system.current(x, u, order) for u in row]
+    single = np.array([[[[system.current(x, u) for u in row]
                          for row in us] for x in xs_row] for xs_row in xs])
     assert stacked.tobytes() == single.tobytes()
     # one element against the sum over sites with scalar denominators
     x, u = xs[1, 2], complex(us[1, 0])
     ref = np.zeros((space.dim, space.dim), dtype=complex)
     for i, zi in enumerate(sites, start=1):
-        ref += system.rep_embed(x, i) / (u - zi) ** order
+        ref += system.rep_embed(x, i) / (u - zi)
     assert np.array_equal(single[1, 2, 1, 0], ref)
     with pytest.raises(PoleError):
-        system.current(xs, np.array([2.0, sites[1]]), order)
+        system.current(xs, np.array([2.0, sites[1]]))
 
 
 def _per_draw_batch_means(system, H, l, zetas, seed, nsamples, batches):
