@@ -97,10 +97,11 @@ SCHEMAS = {
 # keys every subcommand takes, with their parsers and defaults
 COMMON = {"seed": (int, 0), "out": (str, ".")}
 # smallest accepted value of each count, below which a check tests
-# nothing or cannot run (s_polynomials needs p_max >= 3)
+# nothing or cannot run (s_polynomials needs p_max >= 3 and a gl_n with
+# n >= 1)
 MINIMA = {"seed": 0, "points": 1, "trials": 1, "twists": 1, "nsites": 1,
           ("rational-classical", "n"): 2, ("elliptic-classical", "n"): 1,
-          ("rational-quantum", "p_max"): 3}
+          ("rational-quantum", "n"): 1, ("rational-quantum", "p_max"): 3}
 
 
 def load_config(path):

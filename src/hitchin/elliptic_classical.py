@@ -391,7 +391,8 @@ hamiltonian_family.gradients = _family_gradients
 
 
 def _gradients(fun, point):
-    """Cauchy-ring partials of fun(point) in p, t and every eta entry.
+    """Cauchy-ring partials of fun(point) in p, t and every eta entry, the
+    reference for analytic ones.
 
     Circles have radius 1e-2 in p and eta and 1e-2 |t_a| in t_a.  Returns
     (gp, gt, geta) of shapes (n,), (n,) and (N, n, n), each followed by
@@ -412,26 +413,19 @@ def _gradients(fun, point):
             grad[2 * n:].reshape((N, n, n) + grad.shape[1:]))
 
 
-def _observable_gradients(f, point):
-    if hasattr(f, "gradients"):
-        return f.gradients(point)
-    return _gradients(f, point)
-
-
 def poisson_bracket(f, g, point):
     """Poisson bracket {f, g} of two observables at a phase point.
 
     f and g return scalars or 1-d arrays; for arrays the result is the
     matrix {f_k, g_l}, and with ``g is f`` the gradients are taken once.
     Combines {p_a, t_a} = t_a with the Kostant-Kirillov bracket on each
-    residue matrix.  An observable with a ``gradients`` method supplies its
-    own partials; otherwise they are taken spectrally on small circles, so
-    the result is accurate to near machine precision for holomorphic
-    observables.
+    residue matrix.  Each observable supplies its partials (gp, gt, geta)
+    through its ``gradients`` method, shaped as _gradients returns them,
+    as hamiltonian_family does.
     """
     n, N = point.n, point.nsites
-    fp, ft, feta = _observable_gradients(f, point)
-    gp, gt, geta = (fp, ft, feta) if g is f else _observable_gradients(g, point)
+    fp, ft, feta = f.gradients(point)
+    gp, gt, geta = (fp, ft, feta) if g is f else g.gradients(point)
     shape = fp.shape[1:] + gp.shape[1:]
     fp, ft, gp, gt = (v.reshape(n, -1) for v in (fp, ft, gp, gt))
     feta, geta = (v.reshape(N, n, n, -1) for v in (feta, geta))

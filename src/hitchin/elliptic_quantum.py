@@ -47,7 +47,7 @@ class CoeffSum(ThetaExpr):
         """expr * mat for a scalar theta expression or number expr."""
         return cls({(): np.asarray(mat, dtype=complex)}) * expr
 
-    def matmul(self, other):
+    def __matmul__(self, other):
         """Product with the coefficient matrices multiplied by @."""
         return self._product(other, operator.matmul)
 
@@ -104,18 +104,11 @@ class EulerDiffOp:
                            {m: cs * v for m, cs in self.coeffs.items()})
 
     def __matmul__(self, other):
-        """Operator composition: A(t)D^m B(t)D^k expands by Leibniz with
-        the symbolic Euler derivative of B."""
-        out = {}
-        for k, bk in other.coeffs.items():
-            derivs = [bk]
-            while len(derivs) <= self.degree():
-                derivs.append(derivs[-1].euler())
-            for m, am in self.coeffs.items():
-                for j in range(m + 1):
-                    out[m - j + k] = out.get(m - j + k, CoeffSum()) \
-                        + am.matmul(derivs[j]) * comb(m, j)
-        return EulerDiffOp(self.dim, out)
+        """Operator composition: A(t)D^m B(t)D^k expands by Leibniz
+        (_leibniz) with the symbolic Euler derivatives of B."""
+        return EulerDiffOp(self.dim, _leibniz(
+            _euler_jets(self.coeffs, 0),
+            _euler_jets(other.coeffs, self.degree())))
 
     def evaluate(self, ctx, t):
         """Numeric coefficient matrices {m: A_m(t)} at a point t."""
@@ -143,11 +136,11 @@ def _euler_jets(coeffs, order):
 
 
 def _leibniz(a, b):
-    """Evaluated coefficients {n: C_n} of the product
-    (sum_m A_m D^m)(sum_k B_k D^k) from evaluated jets a = {m: [A_m, ...]}
-    and b = {k: [B_k, D B_k, ...]} (up to D^deg(A) B_k, as _euler_jets
-    makes them): (A_m D^m)(B_k D^k) = sum_j C(m, j) A_m (D^j B_k)
-    D^(m-j+k).  The numeric counterpart of EulerDiffOp.__matmul__."""
+    """Coefficients {n: C_n} of the product (sum_m A_m D^m)(sum_k B_k D^k)
+    from jets a = {m: [A_m, ...]} and b = {k: [B_k, D B_k, ...]} (up to
+    D^deg(A) B_k, as _euler_jets makes them): (A_m D^m)(B_k D^k) =
+    sum_j C(m, j) A_m (D^j B_k) D^(m-j+k).  The entries are evaluated
+    matrices, or matrix-valued expressions (EulerDiffOp.__matmul__)."""
     out = {}
     for m, am in a.items():
         for k, bk in b.items():

@@ -19,14 +19,12 @@ class RationalPhasePoint:
     """Matrices eta[i] in gl_n attached to distinct marked points sites[i],
     held as one complex array of shape (N, n, n).
 
-    Optionally checks that each eta[i] is nilpotent (all power traces up to
-    n vanish) and/or that the moment constraint sum_i eta[i] = 0 holds.
     ``copy_with_eta`` also accepts a stack of shape (..., N, n, n): such a
     batched point is evaluated by ``lax_rational``, ``HitchinCoefficients``
     and ``HitchinObservable.value`` once for every leading index.
     """
 
-    def __init__(self, eta, sites, check_nilpotent=False, check_moment=False):
+    def __init__(self, eta, sites):
         try:
             self.eta = np.array(eta, dtype=complex)
         except ValueError:  # matrices of different sizes
@@ -40,19 +38,6 @@ class RationalPhasePoint:
             raise ValueError("sites and eta must have equal length")
         self.nsites, self.n = self.eta.shape[:2]
         check_distinct(self.sites)
-        norms = np.linalg.norm(self.eta, axis=(1, 2))
-        if check_nilpotent:
-            p = self.eta
-            for _ in range(self.n):
-                bad = (np.abs(np.trace(p, axis1=1, axis2=2))
-                       > 1e-10 * np.maximum(1.0, norms ** self.n))
-                if bad.any():
-                    raise ValueError("site matrix %d is not nilpotent"
-                                     % np.argmax(bad))
-                p = p @ self.eta
-        if check_moment and (np.linalg.norm(self.eta.sum(axis=0))
-                             > 1e-10 * max(1.0, norms.max())):
-            raise ValueError("moment constraint sum(eta) = 0 violated")
 
     def copy_with_eta(self, eta):
         """The point with the same sites and the site matrices ``eta``
@@ -213,32 +198,25 @@ def _numerical_gradients(f, point):
     return grad.reshape(N, n, n).transpose(0, 2, 1)
 
 
-def _observable_gradients(f, point):
-    if hasattr(f, "gradients"):
-        return f.gradients(point)
-    return _numerical_gradients(f, point)
-
-
 def kk_bracket(f, g, point):
     """Kostant-Kirillov bracket sum_i <eta[i], [grad_i g, grad_i f]>.
 
     The sign is fixed so that the matrix-valued coordinate brackets satisfy
     {eta(z) (x) eta(w)} = [P/(z-w), eta(z) (x) 1 + 1 (x) eta(w)].
-    An observable with a ``gradients`` method supplies its (N, n, n)
-    partials; any other is differentiated on Cauchy rings, so it must
-    take a batched point (eta of shape (m, N, n, n)) and return its m
-    values.  The per-site terms are stacked products, added in site order.
+    Each observable supplies its (N, n, n) partials through its
+    ``gradients`` method, as HitchinObservable does.  The per-site terms
+    are stacked products, added in site order.
     """
-    gf = _observable_gradients(f, point)
-    gg = _observable_gradients(g, point)
+    gf = f.gradients(point)
+    gg = g.gradients(point)
     return np.sum(np.trace(point.eta @ (gg @ gf - gf @ gg),
                            axis1=1, axis2=2))
 
 
 def hamiltonian_field(f, point):
     """Hamiltonian vector field eta_dot[i] = {eta[i], f} = [eta[i], grad_i f],
-    shape (N, n, n)."""
-    grads = _observable_gradients(f, point)
+    shape (N, n, n), from the partials f.gradients(point)."""
+    grads = f.gradients(point)
     return point.eta @ grads - grads @ point.eta
 
 
@@ -284,14 +262,18 @@ def flow_field(point, d, a):
     return hamiltonian_field(HitchinObservable(point, d, a), point) / d
 
 
-def integrate_flow(point, key, T, dt, overflow=1e8):
+# Site-matrix norm beyond which integrate_flow gives the trajectory up
+OVERFLOW = 1e8
+
+
+def integrate_flow(point, key, T, dt):
     """RK4 integration of flow_field; returns (trajectory, drift_max).
 
     trajectory is a list of (t, RationalPhasePoint); drift_max is the
     largest absolute drift of any Hitchin coefficient of degrees 2..n
     along the trajectory, evaluated once over the whole trajectory as one
     batched point.  Every step checks the site-matrix norms against
-    ``overflow`` (a NaN fails that check too).
+    OVERFLOW (a NaN fails that check too).
     """
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
@@ -305,7 +287,7 @@ def integrate_flow(point, key, T, dt, overflow=1e8):
         k3 = flow_field(current.copy_with_eta(eta + 0.5 * dt * k2), d, a)
         k4 = flow_field(current.copy_with_eta(eta + dt * k3), d, a)
         new_eta = eta + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.linalg.norm(new_eta, axis=(1, 2)) <= overflow):
+        if not np.all(np.linalg.norm(new_eta, axis=(1, 2)) <= OVERFLOW):
             raise OverflowError("trajectory escaped the overflow bound")
         current = current.copy_with_eta(new_eta)
         trajectory.append(((step + 1) * dt, current))
@@ -316,13 +298,9 @@ def integrate_flow(point, key, T, dt, overflow=1e8):
     return trajectory, drift_max
 
 
-def random_nilpotent_point(n, N, rng, moment=False):
-    """Random phase point with rank-1 nilpotent site matrices eta = v w^T.
-
-    Sites are random complex numbers; with moment=True the last site matrix
-    is replaced so that sum eta[i] = 0 (the result is then generally not
-    nilpotent at the last site).
-    """
+def random_nilpotent_point(n, N, rng):
+    """Random phase point with rank-1 nilpotent site matrices eta = v w^T
+    at random complex sites."""
     sites = []
     while len(sites) < N:
         z = rng.normal() + 1j * rng.normal()
@@ -334,6 +312,4 @@ def random_nilpotent_point(n, N, rng, moment=False):
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
         w = w - v * (w @ v) / (v @ v)
         eta.append(np.outer(v, w))
-    if moment:
-        eta[-1] = -sum(eta[:-1])
     return RationalPhasePoint(eta, sites)

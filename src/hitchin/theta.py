@@ -81,14 +81,16 @@ def redraw(draw):
 
 
 class TruncationError(ThetaError):
-    """The q-series would need more than max_terms terms to converge, or a
+    """The q-series would need more than MAX_TERMS terms to converge, or a
     theta value overflows or underflows to zero as a double."""
 
 
-# Series are truncated once the remaining tail is below TOL, and an
-# argument within relative distance POLE_GUARD of the lattice q^Z raises
-# PoleError from any function with a pole or zero denominator there.
+# Series are truncated once the remaining tail is below TOL, and one that
+# needs more than MAX_TERMS terms raises TruncationError; an argument
+# within relative distance POLE_GUARD of the lattice q^Z raises PoleError
+# from any function with a pole or zero denominator there.
 TOL = 1e-14
+MAX_TERMS = 10000
 POLE_GUARD = 1e-8
 
 # Entries a context's memo holds before it is cleared.  One CLI operation
@@ -153,9 +155,9 @@ def _li(k, L):
 
 
 class ThetaContext:
-    """Evaluation context: nome q and the series length limit; a series
-    that needs more than ``max_terms`` terms to get its tail below ``tol``
-    (TOL) raises TruncationError.
+    """Evaluation context for the nome q; a series that needs more than
+    MAX_TERMS terms to get its tail below ``tol`` (TOL) raises
+    TruncationError.
 
     ``tau`` is the period ratio of q = e^(2 pi i tau) where the series run
     at the transformed nome e^(-2 pi i/tau), None where they run at q;
@@ -165,12 +167,11 @@ class ThetaContext:
 
     tol = TOL
 
-    def __init__(self, q, max_terms=10000):
+    def __init__(self, q):
         q = complex(q)
         if not abs(q) < 1.0:
             raise ValueError("need |q| < 1, got |q| = %g" % abs(q))
         self.q = q
-        self.max_terms = int(max_terms)
         self.tau = self.log_nome = None
         if q != 0:
             tau = cmath.log(q) / _TWO_PI_I
@@ -196,9 +197,9 @@ class ThetaContext:
         a = abs(ell.real)
         log_scale = a + 2.0 * math.log1p(math.exp(-a))
         n = max(int((math.log(self.tol) - log_scale) / self.log_nome.real) + 2, 2)
-        if n > self.max_terms:
+        if n > MAX_TERMS:
             raise TruncationError(
-                "series needs %d terms (max_terms=%d)" % (n, self.max_terms))
+                "series needs %d terms (MAX_TERMS=%d)" % (n, MAX_TERMS))
         return n
 
     def series_terms(self, z):

@@ -1,12 +1,12 @@
 """Symbolic expressions in one multiplicative variable t, closed under the
 Euler derivative D = t d/dt, in a canonical sparse-polynomial form.
 
-A generator is a tuple (kind, c, m, order): ("t", 1, 1, 0) is t itself,
-("theta", c, m, 0) is theta(c t^m), ("u", c, m, k) the k-th Euler
-derivative D^k u(c t^m) of the logarithmic derivative u = z theta'/theta,
-and ("wpconst", 1, 0, 0) and ("tp1", 1, 0, 0) the q-dependent constants
-c(q) and theta'(1); the Weierstrass function wp(ln(c t^m)) =
--D u(c t^m) + c(q) is built from them (ThetaExpr.wp).  A monomial is a
+A generator is a tuple (kind, c, m, order): ("theta", c, m, 0) is
+theta(c t^m), ("u", c, m, k) the k-th Euler derivative D^k u(c t^m) of
+the logarithmic derivative u = z theta'/theta, and ("wpconst", 1, 0, 0)
+and ("tp1", 1, 0, 0) the q-dependent constants c(q) and theta'(1); the
+Weierstrass function wp(ln(c t^m)) = -D u(c t^m) + c(q) is built from
+them (ThetaExpr.wp).  No generator is a bare power of t.  A monomial is a
 tuple of (generator, nonzero integer power) pairs sorted by their text,
 so products are taken in one fixed order whatever the interpreter's
 string hash seed.  An expression is a dict {monomial: coefficient}, like
@@ -14,7 +14,7 @@ monomials merged and zero coefficients dropped; coefficients are
 numbers, or constant matrices in elliptic_quantum.  D acts by the
 product rule over the generators of a monomial, with
 
-    D t = t,   D theta(c t^m) = m u(c t^m) theta(c t^m),
+    D theta(c t^m) = m u(c t^m) theta(c t^m),
     D u^(k)(c t^m) = m u^(k+1)(c t^m).
 
 Expressions are evaluated against a ThetaContext at a numeric point, with
@@ -26,8 +26,6 @@ import numbers
 import operator
 
 import numpy as np
-
-_T = ("t", 1 + 0j, 1, 0)
 
 
 def _mono_mul(a, b):
@@ -57,8 +55,6 @@ def _generator_euler(g):
     kind, c, m, order = g
     if m == 0:
         return ()
-    if kind == "t":
-        return [(((g, 1),), m)]
     if kind == "theta":
         return [(((("u", c, m, 0), 1), (g, 1)), m)]
     return [(((("u", c, m, order + 1), 1),), m)]
@@ -71,8 +67,6 @@ def _generator_value(g, ctx, t):
     if kind == "tp1":
         return ctx.theta_prime_one()
     arg = c * t ** m
-    if kind == "t":
-        return arg
     if kind == "theta":
         return ctx.theta(arg)
     return ctx.theta_ratio(arg, order)
@@ -105,11 +99,6 @@ class ThetaExpr:
     @staticmethod
     def _generator(kind, c=1.0, m=0, order=0):
         return ThetaExpr({(((kind, complex(c), int(m), int(order)), 1),): 1.0})
-
-    @staticmethod
-    def monomial(c=1.0, m=1):
-        """c t^m."""
-        return ThetaExpr.const(c) * ThetaExpr({((_T, m),) if m else (): 1.0})
 
     @staticmethod
     def theta(c=1.0, m=1):

@@ -22,3 +22,22 @@ class LatticeRng:
 @pytest.fixture
 def lattice_rng():
     return LatticeRng()
+
+
+class RingObservable:
+    """A bare callable fun as a bracket observable.  The brackets read only
+    ``gradients``; here they are the Cauchy-ring partials
+    ``partials(fun, point)``, with partials rational_classical's
+    _numerical_gradients or elliptic_classical's _gradients."""
+
+    def __init__(self, fun, partials):
+        self.fun = fun
+        self.partials = partials
+
+    def gradients(self, point):
+        return self.partials(self.fun, point)
+
+
+@pytest.fixture
+def ring_observable():
+    return RingObservable

@@ -189,18 +189,23 @@ class TestRMatrices:
 
 
 class TestBracketTensor:
-    def test_coordinate_bracket_oracle(self):
+    def test_coordinate_bracket_oracle(self, ring_observable):
         # poisson_bracket reproduces the defining coordinate brackets
         rng = np.random.default_rng(12)
         pt = random_elliptic_point(2, 2, 0.3, rng)
-        val = poisson_bracket(lambda q: q.p[0], lambda q: q.t[0], pt)
+
+        def bracket(f, g):
+            return poisson_bracket(ring_observable(f, _gradients),
+                                   ring_observable(g, _gradients), pt)
+
+        val = bracket(lambda q: q.p[0], lambda q: q.t[0])
         assert abs(val - pt.t[0]) < 1e-10 * abs(pt.t[0])
-        val = poisson_bracket(lambda q: q.p[0], lambda q: q.t[1], pt)
+        val = bracket(lambda q: q.p[0], lambda q: q.t[1])
         assert abs(val) < 1e-10
         # {eta_ab, eta_cd} = delta_cb eta_ad - delta_ad eta_cb per matrix
-        val = poisson_bracket(entry_fun(0, 0, 1), entry_fun(0, 1, 1), pt)
+        val = bracket(entry_fun(0, 0, 1), entry_fun(0, 1, 1))
         assert abs(val - pt.eta[0][0, 1]) < 1e-9
-        val = poisson_bracket(entry_fun(0, 0, 1), entry_fun(1, 1, 1), pt)
+        val = bracket(entry_fun(0, 0, 1), entry_fun(1, 1, 1))
         assert abs(val) < 1e-9
 
     def test_tensor_antisymmetry(self):
@@ -218,7 +223,7 @@ class TestBracketTensor:
                         rhs = -M[c * n + a, d * n + b]
                         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
-    def test_tensor_matches_spectral_bracket_engine(self):
+    def test_tensor_matches_spectral_bracket_engine(self, ring_observable):
         # dual route: the analytic tensor against the generic
         # circle-derivative bracket engine on a few entries
         rng = np.random.default_rng(14)
@@ -228,11 +233,13 @@ class TestBracketTensor:
         L = bracket_tensor(pt, z, w)
         for (a, b, c, d) in [(0, 0, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1)]:
             val = poisson_bracket(
-                lambda q, a=a, b=b: lax_elliptic(q, z)[a, b],
-                lambda q, c=c, d=d: lax_elliptic(q, w)[c, d], pt)
+                ring_observable(lambda q, a=a, b=b: lax_elliptic(q, z)[a, b],
+                                _gradients),
+                ring_observable(lambda q, c=c, d=d: lax_elliptic(q, w)[c, d],
+                                _gradients), pt)
             assert abs(val - L[a * n + c, b * n + d]) < 1e-8
 
-    def test_array_observables_give_bracket_matrix(self):
+    def test_array_observables_give_bracket_matrix(self, ring_observable):
         # {xbar_ab(z), xbar_cd(w)} for all entries from one gradient pass
         # per side, against the analytic tensor
         rng = np.random.default_rng(15)
@@ -240,22 +247,26 @@ class TestBracketTensor:
         z, w = 1.13 + 0.19j, 0.84 - 0.3j
         n = pt.n
         L = bracket_tensor(pt, z, w)
-        val = poisson_bracket(lambda q: lax_elliptic(q, z).ravel(),
-                              lambda q: lax_elliptic(q, w).ravel(), pt)
+        val = poisson_bracket(
+            ring_observable(lambda q: lax_elliptic(q, z).ravel(), _gradients),
+            ring_observable(lambda q: lax_elliptic(q, w).ravel(), _gradients),
+            pt)
         want = L.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n,
                                                                     n * n)
         assert np.abs(val - want).max() < 1e-8 * max(np.abs(L).max(), 1.0)
 
 
-    def test_tensor_matches_ring_brackets_n3_N3(self):
+    def test_tensor_matches_ring_brackets_n3_N3(self, ring_observable):
         # every pair of Lax entries at n = N = 3 against the ring engine
         rng = np.random.default_rng(24)
         pt = random_elliptic_point(3, 3, 0.3, rng)
         z, w = 1.07 - 0.31j, 0.88 + 0.42j
         n = pt.n
         L = bracket_tensor(pt, z, w)
-        val = poisson_bracket(lambda q: lax_elliptic(q, z).ravel(),
-                              lambda q: lax_elliptic(q, w).ravel(), pt)
+        val = poisson_bracket(
+            ring_observable(lambda q: lax_elliptic(q, z).ravel(), _gradients),
+            ring_observable(lambda q: lax_elliptic(q, w).ravel(), _gradients),
+            pt)
         want = L.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n,
                                                                     n * n)
         assert np.abs(val - want).max() < 1e-9 * max(np.abs(L).max(), 1.0)
@@ -369,7 +380,7 @@ class TestHamiltonians:
         packed = np.concatenate([[hams.h0], hams.h, hams.k, hams.m])
         assert np.abs(coeffs - packed).max() < 1e-8 * np.abs(packed).max()
 
-    def test_involutivity_on_moment_surface(self):
+    def test_involutivity_on_moment_surface(self, ring_observable):
         rng = np.random.default_rng(21)
         for (n, N) in [(2, 2), (3, 2)]:
             pt = random_elliptic_point(n, N, 0.3, rng, moment=True)
@@ -383,19 +394,24 @@ class TestHamiltonians:
             scale = max(abs(f(pt)) for f in funs)
             for i in range(len(funs)):
                 for j in range(i + 1, len(funs)):
-                    val = poisson_bracket(funs[i], funs[j], pt)
+                    val = poisson_bracket(
+                        ring_observable(funs[i], _gradients),
+                        ring_observable(funs[j], _gradients), pt)
                     assert abs(val) < 1e-8 * scale ** 2 + 1e-8
 
 
-    def test_brackets_at_close_twists(self):
+    def test_brackets_at_close_twists(self, ring_observable):
         # t_1/t_2 lies 0.14 from 1, where wp(t_a/t_b) has its double pole;
         # an 8-node Cauchy ring left {h0, h_i} at 6.8e-8 of the scale here
         pt = close_twist_point()
         hams = hamiltonians_elliptic(pt)
         scale = max(abs(hams.h0), max(abs(h) for h in hams.h), 1.0)
         for i in range(pt.nsites):
-            val = poisson_bracket(lambda q: hamiltonians_elliptic(q).h0,
-                                  lambda q: hamiltonians_elliptic(q).h[i], pt)
+            val = poisson_bracket(
+                ring_observable(lambda q: hamiltonians_elliptic(q).h0,
+                                _gradients),
+                ring_observable(lambda q: hamiltonians_elliptic(q).h[i],
+                                _gradients), pt)
             assert abs(val) / scale < 1e-8
 
 
@@ -470,7 +486,7 @@ class TestDegeneration:
             prev = err
         assert prev < 0.15
 
-    def test_bracket_smallness_along_family(self):
+    def test_bracket_smallness_along_family(self, ring_observable):
         rng = np.random.default_rng(23)
         n, N = 2, 2
         t = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
@@ -492,7 +508,9 @@ class TestDegeneration:
                 return hamiltonians_elliptic(pp).h[0]
 
             scale = max(abs(h0(pt)), abs(h1(pt)))
-            assert abs(poisson_bracket(h0, h1, pt)) < 1e-8 * scale ** 2
+            assert abs(poisson_bracket(ring_observable(h0, _gradients),
+                                       ring_observable(h1, _gradients),
+                                       pt)) < 1e-8 * scale ** 2
 
 
 def test_random_point_gives_up_after_max_draws(lattice_rng):

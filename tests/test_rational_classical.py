@@ -18,12 +18,6 @@ def test_phase_point_validation():
         rc.RationalPhasePoint([E2, np.eye(3)], [0.0, 1.0])
     with pytest.raises(ValueError):
         rc.RationalPhasePoint(np.zeros((0, 2, 2)), [])
-    with pytest.raises(ValueError):
-        rc.RationalPhasePoint([np.eye(2)], [0.0], check_nilpotent=True)
-    with pytest.raises(ValueError):
-        rc.RationalPhasePoint([E2, E2], [0.0, 1.0], check_moment=True)
-    rc.RationalPhasePoint([E2, -E2], [0.0, 1.0],
-                          check_nilpotent=True, check_moment=True)
 
 
 def test_lax_single_site():
@@ -80,7 +74,10 @@ def test_lax_decay_at_infinity():
     total = sum(pt.eta)
     big = 1e6
     assert np.linalg.norm(big * rc.lax_rational(pt, big) - total) < 1e-4
-    pt0 = rc.random_nilpotent_point(2, 3, rng, moment=True)
+    # the last site matrix replaced so that sum eta[i] = 0
+    pt0 = rc.random_nilpotent_point(2, 3, rng)
+    pt0 = pt0.copy_with_eta(np.concatenate(
+        [pt0.eta[:-1], -pt0.eta[:-1].sum(axis=0, keepdims=True)]))
     assert np.linalg.norm(big * rc.lax_rational(pt0, big)) < 1e-4
 
 
@@ -190,7 +187,7 @@ def test_involutivity(n, N):
                 assert abs(rc.kk_bracket(f, g, pt)) < 1e-8 * scale
 
 
-def test_bracket_fd_oracle():
+def test_bracket_fd_oracle(ring_observable):
     # analytic-gradient bracket agrees with the Cauchy-ring route, at d = 2
     # on gl2 and at d = 3 (paired with d = 3 and with d = 2) on gl3
     rng = np.random.default_rng(10)
@@ -206,7 +203,9 @@ def test_bracket_fd_oracle():
             f = rc.HitchinObservable(pt, *kf)
             g = rc.HitchinObservable(pt, *kg)
             analytic = rc.kk_bracket(f, g, pt)
-            fd = rc.kk_bracket(lambda p: f.value(p), lambda p: g.value(p), pt)
+            fd = rc.kk_bracket(
+                ring_observable(f.value, rc._numerical_gradients),
+                ring_observable(g.value, rc._numerical_gradients), pt)
             assert abs(analytic - fd) < 1e-6
 
 
@@ -353,11 +352,12 @@ def test_isospectrality():
     assert np.max(np.abs(before - after)) < 1e-7
 
 
-def test_integrate_flow_overflow():
+def test_integrate_flow_overflow(monkeypatch):
     rng = np.random.default_rng(17)
     pt = rc.random_nilpotent_point(2, 2, rng)
+    monkeypatch.setattr(rc, "OVERFLOW", 1e-9)
     with pytest.raises(OverflowError):
-        rc.integrate_flow(pt, (2, (1, 0)), T=1.0, dt=0.1, overflow=1e-9)
+        rc.integrate_flow(pt, (2, (1, 0)), T=1.0, dt=0.1)
 
 
 def test_pole_error_is_shared():
@@ -365,11 +365,13 @@ def test_pole_error_is_shared():
     assert rc.PoleError is hitchin.PoleError
 
 
-def test_numerical_gradient_keeps_pole_error():
+def test_numerical_gradient_keeps_pole_error(ring_observable):
     rng = np.random.default_rng(18)
     pt = rc.random_nilpotent_point(2, 2, rng)
     f = rc.entry_observable(0, 0, 1)
-    at_site = lambda p: rc.lax_rational(p, p.sites[0])[0, 1]
+    at_site = ring_observable(
+        lambda p: rc.lax_rational(p, p.sites[0])[0, 1],
+        rc._numerical_gradients)
     with pytest.raises(rc.PoleError):
         rc.kk_bracket(at_site, f, pt)
 

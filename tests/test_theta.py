@@ -199,9 +199,20 @@ def test_euler_derivative_consistency(ctx, fname):
 
 
 def test_truncation_error_near_unit_modulus():
-    ctx = th.ThetaContext(0.9999, max_terms=50)
-    with pytest.raises(th.TruncationError):
+    # at q = 0.9999 the transformed nome is small, but theta is far below
+    # the smallest double
+    ctx = th.ThetaContext(0.9999)
+    with pytest.raises(th.TruncationError, match="outside the double range"):
         ctx.theta(1.5)
+
+
+def test_truncation_error_past_max_terms():
+    # at q = -0.9999 tau lies near 1/2, so the transformed nome is as
+    # close to the unit circle (|q'| = 0.9996) and the series would need
+    # more than MAX_TERMS terms
+    ctx = th.ThetaContext(-0.9999)
+    with pytest.raises(th.TruncationError, match="series needs 84454 terms"):
+        ctx.theta_ratio(1.5)
 
 
 @given(

@@ -18,7 +18,6 @@ POINTS = [1.13 + 0.21j, 0.77 - 0.35j, 1.9 + 0.1j]
 def sample_exprs():
     return [
         ThetaExpr.const(2.5 - 1.0j),
-        ThetaExpr.monomial(1.3, 2),
         ThetaExpr.theta(0.9 + 0.1j, 1),
         ThetaExpr.theta(2.0, -2),
         ThetaExpr.u(1.0, 1),
@@ -32,7 +31,6 @@ def sample_exprs():
         (ThetaExpr.u(1.0, 2) - ThetaExpr.u(1.3, 0))
         * ThetaExpr.theta(1.1, 1),
         ThetaExpr.theta(1.3, 1) / ThetaExpr.theta(0.8, 2),
-        ThetaExpr.const(1.0) - ThetaExpr.monomial(1.0, -1),
     ]
 
 
